@@ -17,12 +17,19 @@ import (
 
 // Graph is the dependency graph over the gates of one circuit. Gate indices
 // refer to positions in the source circuit's Gates slice.
+//
+// Predecessors, successors and layer buckets are stored in compressed
+// sparse row form: one flat index array per relation plus int32 offsets,
+// where node i's entries are idx[off[i]:off[i+1]].
 type Graph struct {
-	circ   *circuit.Circuit
-	preds  [][]int
-	succs  [][]int
-	layer  []int
-	layers [][]int
+	circ     *circuit.Circuit
+	layer    []int32
+	preds    []int
+	predOff  []int32
+	succs    []int
+	succOff  []int32
+	layers   []int
+	layerOff []int32
 }
 
 // Build constructs the dependency graph for c.
@@ -31,7 +38,7 @@ type Graph struct {
 // runs once per compile and used to dominate the compile path's allocation
 // profile (a dedupe map per gate plus per-edge appends). Edges are instead
 // deduped with a small scan over each gate's operand list (gates have 1-3
-// operands outside barriers) and stored in flat arenas sized exactly from a
+// operands outside barriers) and stored in flat CSR arrays sized from a
 // counting pass, so Build performs O(1) allocations regardless of circuit
 // size while producing byte-identical preds/succs/layers.
 //
@@ -39,10 +46,10 @@ type Graph struct {
 func Build(c *circuit.Circuit) *Graph {
 	n := len(c.Gates)
 	g := &Graph{
-		circ:  c,
-		preds: make([][]int, n),
-		succs: make([][]int, n),
-		layer: make([]int, n),
+		circ:    c,
+		layer:   make([]int32, n),
+		predOff: make([]int32, n+1),
+		succOff: make([]int32, n+1),
 	}
 	last := make([]int, c.NumQubits) // last gate index touching each qubit
 	for i := range last {
@@ -50,24 +57,23 @@ func Build(c *circuit.Circuit) *Graph {
 	}
 
 	// Pass 1: per-gate distinct predecessors (dedupe via operand scan),
-	// layers, and edge counts for the succs arena.
+	// layers, and successor counts (in succOff[p]).
 	totalEdges := 0
 	for _, gate := range c.Gates {
 		totalEdges += len(gate.Qubits)
 	}
-	predBuf := make([]int, 0, totalEdges)
-	succCnt := make([]int, n)
-	maxLayer := -1
+	preds := make([]int, 0, totalEdges)
+	maxLayer := int32(-1)
 	for i, gate := range c.Gates {
-		l := 0
-		start := len(predBuf)
+		l := int32(0)
+		start := len(preds)
 		for _, q := range gate.Qubits {
 			p := last[q]
 			if p < 0 {
 				continue
 			}
 			dup := false
-			for _, prev := range predBuf[start:] {
+			for _, prev := range preds[start:] {
 				if prev == p {
 					dup = true
 					break
@@ -76,13 +82,13 @@ func Build(c *circuit.Circuit) *Graph {
 			if dup {
 				continue
 			}
-			predBuf = append(predBuf, p)
-			succCnt[p]++
+			preds = append(preds, p)
+			g.succOff[p]++
 			if g.layer[p]+1 > l {
 				l = g.layer[p] + 1
 			}
 		}
-		g.preds[i] = predBuf[start:len(predBuf):len(predBuf)]
+		g.predOff[i+1] = int32(len(preds))
 		g.layer[i] = l
 		if l > maxLayer {
 			maxLayer = l
@@ -91,35 +97,36 @@ func Build(c *circuit.Circuit) *Graph {
 			last[q] = i
 		}
 	}
+	g.preds = preds
 
-	// Pass 2: successors, in ascending gate order, carved from one arena.
-	succBuf := make([]int, len(predBuf))
-	off := 0
-	for p := 0; p < n; p++ {
-		g.succs[p] = succBuf[off : off : off+succCnt[p]]
-		off += succCnt[p]
+	// Pass 2: successors by counting sort. The running sum turns each count
+	// into its bucket's end; filling back to front from the last gate then
+	// leaves ascending gate order in every bucket and each offset at its
+	// bucket's start.
+	for p := 1; p <= n; p++ {
+		g.succOff[p] += g.succOff[p-1]
 	}
-	for i := 0; i < n; i++ {
-		for _, p := range g.preds[i] {
-			g.succs[p] = append(g.succs[p], i)
+	g.succs = make([]int, len(preds))
+	for i := n - 1; i >= 0; i-- {
+		for _, p := range g.Preds(i) {
+			g.succOff[p]--
+			g.succs[g.succOff[p]] = i
 		}
 	}
 
-	// Layer buckets, in ascending gate order, carved from one arena.
-	layerCnt := make([]int, maxLayer+1)
+	// Layer buckets, in ascending gate order, by the same counting sort.
+	g.layerOff = make([]int32, maxLayer+2)
 	for _, l := range g.layer {
-		layerCnt[l]++
+		g.layerOff[l]++
 	}
-	layerBuf := make([]int, n)
-	g.layers = make([][]int, maxLayer+1)
-	off = 0
-	for l := range g.layers {
-		g.layers[l] = layerBuf[off : off : off+layerCnt[l]]
-		off += layerCnt[l]
+	for l := 1; l < len(g.layerOff); l++ {
+		g.layerOff[l] += g.layerOff[l-1]
 	}
-	for i := 0; i < n; i++ {
+	g.layers = make([]int, n)
+	for i := n - 1; i >= 0; i-- {
 		l := g.layer[i]
-		g.layers[l] = append(g.layers[l], i)
+		g.layerOff[l]--
+		g.layers[g.layerOff[l]] = i
 	}
 	return g
 }
@@ -131,22 +138,28 @@ func (g *Graph) Circuit() *circuit.Circuit { return g.circ }
 func (g *Graph) NumGates() int { return len(g.layer) }
 
 // Layer returns the layer index of gate i.
-func (g *Graph) Layer(i int) int { return g.layer[i] }
+func (g *Graph) Layer(i int) int { return int(g.layer[i]) }
 
 // NumLayers returns the number of layers.
-func (g *Graph) NumLayers() int { return len(g.layers) }
+func (g *Graph) NumLayers() int { return len(g.layerOff) - 1 }
 
 // LayerGates returns the gate indices in layer l, in program order. The
 // returned slice must not be modified.
-func (g *Graph) LayerGates(l int) []int { return g.layers[l] }
+func (g *Graph) LayerGates(l int) []int { return row(g.layers, g.layerOff, l) }
 
 // Preds returns the direct predecessors of gate i. The returned slice must
 // not be modified.
-func (g *Graph) Preds(i int) []int { return g.preds[i] }
+func (g *Graph) Preds(i int) []int { return row(g.preds, g.predOff, i) }
 
 // Succs returns the direct successors of gate i. The returned slice must not
 // be modified.
-func (g *Graph) Succs(i int) []int { return g.succs[i] }
+func (g *Graph) Succs(i int) []int { return row(g.succs, g.succOff, i) }
+
+// row returns CSR row i, capped so an append cannot spill into row i+1.
+func row(idx []int, off []int32, i int) []int {
+	lo, hi := off[i], off[i+1]
+	return idx[lo:hi:hi]
+}
 
 // TopoOrder returns a valid execution order using Kahn's algorithm with a
 // lowest-index-first tie break; this realises the paper's
@@ -156,7 +169,7 @@ func (g *Graph) TopoOrder() []int {
 	n := g.NumGates()
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
-		indeg[i] = len(g.preds[i])
+		indeg[i] = len(g.Preds(i))
 	}
 	// Min-index ready queue; a simple ordered scan is fine because indices
 	// only ever become ready in increasing program positions.
@@ -180,7 +193,7 @@ func (g *Graph) TopoOrder() []int {
 		}
 		ready[picked] = false
 		order = append(order, picked)
-		for _, s := range g.succs[picked] {
+		for _, s := range g.Succs(picked) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready[s] = true
@@ -210,7 +223,7 @@ func (g *Graph) ValidOrder(order []int) error {
 		pos[idx] = p
 	}
 	for i := 0; i < n; i++ {
-		for _, p := range g.preds[i] {
+		for _, p := range g.Preds(i) {
 			if pos[p] > pos[i] {
 				return fmt.Errorf("dag: gate %d scheduled before its predecessor %d", i, p)
 			}
@@ -224,7 +237,7 @@ func (g *Graph) ValidOrder(order []int) error {
 // of idx's predecessors have already executed. executed[i] must be true for
 // gates already issued.
 func (g *Graph) CanHoist(idx int, executed []bool) bool {
-	for _, p := range g.preds[idx] {
+	for _, p := range g.Preds(idx) {
 		if !executed[p] {
 			return false
 		}
@@ -234,4 +247,4 @@ func (g *Graph) CanHoist(idx int, executed []bool) bool {
 
 // CriticalPathLength returns the number of layers, which equals the length
 // of the longest dependency chain.
-func (g *Graph) CriticalPathLength() int { return len(g.layers) }
+func (g *Graph) CriticalPathLength() int { return g.NumLayers() }

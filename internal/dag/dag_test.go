@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,21 +166,134 @@ func TestEmptyCircuit(t *testing.T) {
 	}
 }
 
+// randomCircuit draws 1Q gates, MS gates, repeats of the previous MS pair
+// (either operand order), whose second copy has one predecessor reached
+// through both operands and so exercises the edge dedupe, and multi-qubit
+// barriers.
 func randomCircuit(rng *rand.Rand) *circuit.Circuit {
 	n := 3 + rng.Intn(10)
 	c := circuit.New("rand", n)
+	pa, pb := 0, 1
 	for i := 0; i < rng.Intn(80); i++ {
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(8) {
+		case 0, 1:
 			c.Add1Q("r", rng.Intn(n))
-			continue
+		case 2:
+			if rng.Intn(2) == 0 {
+				pa, pb = pb, pa
+			}
+			c.Add2Q("ms", pa, pb)
+		case 3:
+			qs := rng.Perm(n)[:2+rng.Intn(n-1)]
+			c.MustAppend(circuit.Gate{Name: "barrier", Qubits: qs})
+		default:
+			pa, pb = rng.Intn(n), rng.Intn(n)
+			for pb == pa {
+				pb = rng.Intn(n)
+			}
+			c.Add2Q("ms", pa, pb)
 		}
-		a, b := rng.Intn(n), rng.Intn(n)
-		for b == a {
-			b = rng.Intn(n)
-		}
-		c.Add2Q("ms", a, b)
 	}
 	return c
+}
+
+// naiveGraph is the reference the CSR builder is checked against: a
+// map-based builder written for obviousness, not speed.
+type naiveGraph struct {
+	preds, succs, layers [][]int
+	layer                []int
+}
+
+func buildNaive(c *circuit.Circuit) naiveGraph {
+	n := len(c.Gates)
+	ng := naiveGraph{preds: make([][]int, n), succs: make([][]int, n), layer: make([]int, n)}
+	last := map[int]int{}
+	for i, gate := range c.Gates {
+		seen := map[int]bool{}
+		for _, q := range gate.Qubits {
+			p, ok := last[q]
+			if !ok || seen[p] {
+				continue
+			}
+			seen[p] = true
+			ng.preds[i] = append(ng.preds[i], p)
+			ng.succs[p] = append(ng.succs[p], i)
+			ng.layer[i] = max(ng.layer[i], ng.layer[p]+1)
+		}
+		for _, q := range gate.Qubits {
+			last[q] = i
+		}
+		for len(ng.layers) <= ng.layer[i] {
+			ng.layers = append(ng.layers, nil)
+		}
+		ng.layers[ng.layer[i]] = append(ng.layers[ng.layer[i]], i)
+	}
+	return ng
+}
+
+// matchesNaive reports whether g agrees with the naive reference builder on
+// every gate's preds, succs and layer and every layer's gates, order
+// included.
+func matchesNaive(c *circuit.Circuit, g *Graph) bool {
+	ng := buildNaive(c)
+	if g.NumGates() != len(ng.layer) || g.NumLayers() != len(ng.layers) {
+		return false
+	}
+	for i := range ng.layer {
+		if g.Layer(i) != ng.layer[i] || !slices.Equal(g.Preds(i), ng.preds[i]) || !slices.Equal(g.Succs(i), ng.succs[i]) {
+			return false
+		}
+	}
+	for l, gates := range ng.layers {
+		if !slices.Equal(g.LayerGates(l), gates) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestRandomCircuitExercisesDedupe(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var barriers, repeats int
+	for k := 0; k < 40; k++ {
+		c := randomCircuit(rng)
+		for i, gate := range c.Gates {
+			if gate.Name == "barrier" && len(gate.Qubits) > 2 {
+				barriers++
+			}
+			if i == 0 || gate.Name != "ms" {
+				continue
+			}
+			if prev := c.Gates[i-1]; prev.Name == "ms" && gate.Uses(prev.Qubits[0]) && gate.Uses(prev.Qubits[1]) {
+				repeats++
+			}
+		}
+		if !matchesNaive(c, Build(c)) {
+			t.Fatalf("circuit %d: CSR graph differs from the naive reference", k)
+		}
+	}
+	if barriers == 0 || repeats == 0 {
+		t.Errorf("generator drew %d multi-qubit barriers and %d back-to-back MS repeats, want both > 0", barriers, repeats)
+	}
+}
+
+func TestBarrierNaiveMatch(t *testing.T) {
+	c := circuit.New("b", 4)
+	c.Add2Q("ms", 0, 1)
+	c.Add2Q("ms", 1, 0)
+	c.MustAppend(circuit.Gate{Name: "barrier", Qubits: []int{0, 1, 2, 3}})
+	c.Add1Q("r", 3)
+	c.Add2Q("ms", 2, 0)
+	g := Build(c)
+	if !matchesNaive(c, g) {
+		t.Fatal("CSR graph differs from the naive reference")
+	}
+	if p := g.Preds(1); len(p) != 1 || p[0] != 0 {
+		t.Errorf("repeated MS pair preds = %v, want [0]", p)
+	}
+	if s := g.Succs(2); !slices.Equal(s, []int{3, 4}) {
+		t.Errorf("barrier succs = %v, want [3 4]", s)
+	}
 }
 
 // Property: program order is always a valid topological order.
@@ -192,7 +306,7 @@ func TestQuickProgramOrderValid(t *testing.T) {
 		for i := range order {
 			order[i] = i
 		}
-		return g.ValidOrder(order) == nil
+		return g.ValidOrder(order) == nil && matchesNaive(c, g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -206,6 +320,9 @@ func TestQuickLayerInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng)
 		g := Build(c)
+		if !matchesNaive(c, g) {
+			return false
+		}
 		total := 0
 		for l := 0; l < g.NumLayers(); l++ {
 			gates := g.LayerGates(l)
@@ -246,7 +363,7 @@ func TestQuickTopoAndMirror(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng)
 		g := Build(c)
-		if g.ValidOrder(g.TopoOrder()) != nil {
+		if g.ValidOrder(g.TopoOrder()) != nil || !matchesNaive(c, g) {
 			return false
 		}
 		for i := 0; i < g.NumGates(); i++ {

@@ -58,7 +58,7 @@ func PaperL6() Config {
 }
 
 // OpKind enumerates trace operations.
-type OpKind int
+type OpKind uint8
 
 const (
 	// OpGate1Q is a single-qubit gate executed inside a trap.
@@ -104,23 +104,64 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one entry of the execution trace.
+// GateName is the one-byte code of a native gate mnemonic carried by gate
+// ops. The zero value NameNone stands for "no native mnemonic": shuttle ops
+// carry it, and so does a gate op recorded under a name outside the native
+// set, which the verifier then reports against its source gate.
+type GateName uint8
+
+// Native gate mnemonics (circuit.IsNative, barriers excluded: they record
+// no op).
+const (
+	NameNone GateName = iota
+	NameR
+	NameRZ
+	NameMS
+	NameMeasure
+
+	numGateNames
+)
+
+var gateNames = [numGateNames]string{"", "r", "rz", "ms", "measure"}
+
+// LookupGateName returns the code of a native gate mnemonic, or NameNone for
+// any other name.
+func LookupGateName(name string) GateName {
+	for c := NameR; c < numGateNames; c++ {
+		if gateNames[c] == name {
+			return c
+		}
+	}
+	return NameNone
+}
+
+// String returns the mnemonic ("" for NameNone and unknown codes).
+func (n GateName) String() string {
+	if n >= numGateNames {
+		return ""
+	}
+	return gateNames[n]
+}
+
+// Op is one entry of the execution trace. It is 24 bytes and holds no
+// pointers, so a trace of millions of ops is one flat array that the GC
+// never scans and that grows by plain memmove.
 type Op struct {
 	Kind OpKind
+	// Name is the gate mnemonic for gate ops; NameNone for shuttle ops.
+	Name GateName
 	// Ion is the primary ion operand (the moved/split/merged ion, the 1Q
 	// gate target, or the first 2Q operand).
-	Ion int
+	Ion int32
 	// Ion2 is the second 2Q operand or the swap partner; -1 otherwise.
-	Ion2 int
+	Ion2 int32
 	// Trap is the trap where the op happens (for OpMove, the source trap).
-	Trap int
+	Trap int32
 	// Trap2 is the destination trap for OpMove; -1 otherwise.
-	Trap2 int
+	Trap2 int32
 	// Gate is the index of the source-circuit gate for gate ops; -1 for
 	// shuttle ops.
-	Gate int
-	// Name is the gate mnemonic for gate ops.
-	Name string
+	Gate int32
 }
 
 // String renders the op compactly.
@@ -152,9 +193,14 @@ type State struct {
 }
 
 // record appends one op to the trace, keeping the per-kind counters in sync.
+// Once the ReserveOps estimate runs out the trace doubles, rather than
+// taking append's ~1.25x steps, so an under-estimate costs few regrowths.
 //
 //muzzle:hotpath
 func (s *State) record(o Op) {
+	if len(s.ops) == cap(s.ops) {
+		s.ReserveOps(len(s.ops))
+	}
 	s.ops = append(s.ops, o)
 	s.counts[o.Kind]++
 }
@@ -240,7 +286,7 @@ func (s *State) Ops() []Op { return s.ops }
 // OpCount returns the number of trace ops of kind k. Counters are maintained
 // incrementally on append, so the query is O(1) instead of a trace scan.
 func (s *State) OpCount(k OpKind) int {
-	if k < 0 || k >= numOpKinds {
+	if k >= numOpKinds {
 		return 0
 	}
 	return s.counts[k]
@@ -267,7 +313,7 @@ func (s *State) ApplyGate1Q(name string, q, gateIdx int) {
 	if name == "measure" {
 		kind = OpMeasure
 	}
-	s.record(Op{Kind: kind, Ion: q, Ion2: -1, Trap: s.trapOf[q], Trap2: -1, Gate: gateIdx, Name: name})
+	s.record(Op{Kind: kind, Name: LookupGateName(name), Ion: int32(q), Ion2: -1, Trap: int32(s.trapOf[q]), Trap2: -1, Gate: int32(gateIdx)})
 }
 
 // ApplyGate2Q records a two-qubit gate; the ions must be co-located.
@@ -275,7 +321,7 @@ func (s *State) ApplyGate2Q(name string, a, b, gateIdx int) error {
 	if s.trapOf[a] != s.trapOf[b] {
 		return fmt.Errorf("machine: 2Q gate %q on ions %d (T%d) and %d (T%d): not co-located", name, a, s.trapOf[a], b, s.trapOf[b])
 	}
-	s.record(Op{Kind: OpGate2Q, Ion: a, Ion2: b, Trap: s.trapOf[a], Trap2: -1, Gate: gateIdx, Name: name})
+	s.record(Op{Kind: OpGate2Q, Name: LookupGateName(name), Ion: int32(a), Ion2: int32(b), Trap: int32(s.trapOf[a]), Trap2: -1, Gate: int32(gateIdx)})
 	return nil
 }
 
@@ -306,7 +352,7 @@ func (s *State) swapToEdge(q, to int) {
 		chain[p], chain[p+step] = chain[p+step], chain[p]
 		s.posOf[q] = p + step
 		s.posOf[other] = p
-		s.record(Op{Kind: OpSwap, Ion: q, Ion2: other, Trap: from, Trap2: -1, Gate: -1})
+		s.record(Op{Kind: OpSwap, Ion: int32(q), Ion2: int32(other), Trap: int32(from), Trap2: -1, Gate: -1})
 	}
 }
 
@@ -335,14 +381,14 @@ func (s *State) Hop(q, to int) error {
 	// SPLIT: remove from source chain.
 	chain := s.chains[from]
 	p := s.posOf[q]
-	s.record(Op{Kind: OpSplit, Ion: q, Ion2: -1, Trap: from, Trap2: -1, Gate: -1})
+	s.record(Op{Kind: OpSplit, Ion: int32(q), Ion2: -1, Trap: int32(from), Trap2: -1, Gate: -1})
 	copy(chain[p:], chain[p+1:])
 	s.chains[from] = chain[:len(chain)-1]
 	for i := p; i < len(s.chains[from]); i++ {
 		s.posOf[s.chains[from][i]] = i
 	}
 	// MOVE: one shuttle.
-	s.record(Op{Kind: OpMove, Ion: q, Ion2: -1, Trap: from, Trap2: to, Gate: -1})
+	s.record(Op{Kind: OpMove, Ion: int32(q), Ion2: -1, Trap: int32(from), Trap2: int32(to), Gate: -1})
 	s.shuttles++
 	// MERGE: insert at the edge facing the source.
 	dst := s.chains[to]
@@ -360,7 +406,7 @@ func (s *State) Hop(q, to int) error {
 		s.posOf[q] = len(s.chains[to]) - 1
 	}
 	s.trapOf[q] = to
-	s.record(Op{Kind: OpMerge, Ion: q, Ion2: -1, Trap: to, Trap2: -1, Gate: -1})
+	s.record(Op{Kind: OpMerge, Ion: int32(q), Ion2: -1, Trap: int32(to), Trap2: -1, Gate: -1})
 	return nil
 }
 

@@ -56,12 +56,12 @@ func WriteJSON(w io.Writer, res *compiler.Result) error {
 		InitialPlacement: res.InitialPlacement,
 	}
 	for _, op := range res.Ops {
-		jo := JSONOp{Kind: op.Kind.String(), Ion: op.Ion, Trap: op.Trap, Gate: op.Gate, Name: op.Name}
+		jo := JSONOp{Kind: op.Kind.String(), Ion: int(op.Ion), Trap: int(op.Trap), Gate: int(op.Gate), Name: op.Name.String()}
 		if op.Ion2 >= 0 {
-			jo.Ion2 = op.Ion2
+			jo.Ion2 = int(op.Ion2)
 		}
 		if op.Kind == machine.OpMove {
-			jo.Dest = op.Trap2
+			jo.Dest = int(op.Trap2)
 		}
 		jt.Ops = append(jt.Ops, jo)
 	}
@@ -113,7 +113,7 @@ func Render(w io.Writer, res *compiler.Result, opt RenderOptions) error {
 			continue
 		}
 		// Merge: apply the relocation.
-		if err := st.Teleport(op.Ion, op.Trap); err != nil {
+		if err := st.Teleport(int(op.Ion), int(op.Trap)); err != nil {
 			return fmt.Errorf("trace: replay failed: %w", err)
 		}
 		if moves%opt.Every == 0 && snaps < opt.MaxSnapshots {

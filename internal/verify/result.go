@@ -29,9 +29,10 @@ func Result(res *compiler.Result) []Violation {
 		return []Violation{{Op: -1, Kind: KindMetadata,
 			Detail: "result carries no operation trace (summary-only, e.g. reloaded from the disk cache); recompile to verify"}}
 	}
-	vs := Replay(res.Circ, res.Config, res.InitialPlacement, res.Ops)
+	g := dag.Build(res.Circ)
+	vs := replay(res.Circ, res.Config, res.InitialPlacement, res.Ops, g)
 	vs = append(vs, checkCounters(res)...)
-	vs = append(vs, checkOrder(res)...)
+	vs = append(vs, checkOrder(res, g)...)
 	return vs
 }
 
@@ -60,14 +61,13 @@ func checkCounters(res *compiler.Result) []Violation {
 	return vs
 }
 
-// checkOrder validates the recorded gate Order: a permutation respecting
-// every dependency edge whose physical subsequence equals the trace's
-// executed gate sequence.
-func checkOrder(res *compiler.Result) []Violation {
+// checkOrder validates the recorded gate Order against g, the dependency
+// graph of res.Circ: a permutation respecting every dependency edge whose
+// physical subsequence equals the trace's executed gate sequence.
+func checkOrder(res *compiler.Result, g *dag.Graph) []Violation {
 	if res.Order == nil {
 		return []Violation{{Op: -1, Kind: KindMetadata, Detail: "result carries no gate order"}}
 	}
-	g := dag.Build(res.Circ)
 	if err := g.ValidOrder(res.Order); err != nil {
 		return []Violation{{Op: -1, Kind: KindMetadata, Detail: fmt.Sprintf("recorded order invalid: %v", err)}}
 	}
@@ -97,7 +97,7 @@ func checkOrder(res *compiler.Result) []Violation {
 				Detail: "trace executes more gates than the recorded order lists"})
 			return vs
 		}
-		if op.Gate != want {
+		if int(op.Gate) != want {
 			vs = append(vs, Violation{Op: i, Kind: KindMetadata,
 				Detail: fmt.Sprintf("trace executes gate %d where the recorded order lists gate %d", op.Gate, want)})
 			return vs

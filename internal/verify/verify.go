@@ -181,7 +181,13 @@ func (r *replayer) report(op int, kind Kind, format string, args ...any) {
 // violation found (nil means the schedule is legal). The input is not
 // modified.
 func Replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []machine.Op) []Violation {
-	r := newReplayer(circ, cfg, initial)
+	return replay(circ, cfg, initial, ops, nil)
+}
+
+// replay is Replay over a prebuilt dependency graph of circ; a nil graph is
+// built once the placement checks pass.
+func replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []machine.Op, graph *dag.Graph) []Violation {
+	r := newReplayer(circ, cfg, initial, graph)
 	if r == nil || len(r.violations) > 0 {
 		// A broken machine config or placement invalidates all downstream
 		// state tracking; report what we have rather than cascade.
@@ -205,9 +211,9 @@ func Replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []ma
 }
 
 // newReplayer validates the configuration and initial placement and builds
-// the tracking state. A nil return means the inputs were too malformed to
-// replay at all.
-func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int) *replayer {
+// the tracking state, building circ's dependency graph when graph is nil. A
+// nil return means the inputs were too malformed to replay at all.
+func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, graph *dag.Graph) *replayer {
 	if circ == nil || cfg.Topology == nil {
 		return nil
 	}
@@ -257,7 +263,10 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int) *re
 		r.report(-1, KindPlacement, "placement has %d ions, circuit needs %d", total, circ.NumQubits)
 		return r
 	}
-	r.graph = dag.Build(circ)
+	if graph == nil {
+		graph = dag.Build(circ)
+	}
+	r.graph = graph
 	r.executed = make([]bool, len(circ.Gates))
 	r.barrierOK = make([]bool, len(circ.Gates))
 	return r
@@ -331,10 +340,11 @@ func (r *replayer) step(i int, op machine.Op) {
 }
 
 func (r *replayer) stepGate1Q(i int, op machine.Op) {
-	if !r.ionOK(i, op.Ion, "gate") || !r.trapOK(i, op.Trap, "gate") {
+	ion, trap, gate := int(op.Ion), int(op.Trap), int(op.Gate)
+	if !r.ionOK(i, ion, "gate") || !r.trapOK(i, trap, "gate") {
 		return
 	}
-	r.residentAt(i, op.Ion, op.Trap)
+	r.residentAt(i, ion, trap)
 	want := circuit.Kind1Q
 	if op.Kind == machine.OpMeasure {
 		want = circuit.KindMeasure
@@ -345,25 +355,26 @@ func (r *replayer) stepGate1Q(i int, op machine.Op) {
 	}
 	if len(g.Qubits) != 1 {
 		r.report(i, KindOrder, "gate %d (%s) has %d operands, op executes it as 1Q",
-			op.Gate, g.Name, len(g.Qubits))
+			gate, g.Name, len(g.Qubits))
 		return
 	}
-	if g.Qubits[0] != op.Ion {
+	if g.Qubits[0] != ion {
 		r.report(i, KindOrder, "gate %d (%s) acts on q[%d], op executes ion %d",
-			op.Gate, g.Name, g.Qubits[0], op.Ion)
+			gate, g.Name, g.Qubits[0], ion)
 	}
 }
 
 func (r *replayer) stepGate2Q(i int, op machine.Op) {
-	if !r.ionOK(i, op.Ion, "gate") || !r.ionOK(i, op.Ion2, "gate") || !r.trapOK(i, op.Trap, "gate") {
+	ion, ion2, trap, gate := int(op.Ion), int(op.Ion2), int(op.Trap), int(op.Gate)
+	if !r.ionOK(i, ion, "gate") || !r.ionOK(i, ion2, "gate") || !r.trapOK(i, trap, "gate") {
 		return
 	}
-	r.residentAt(i, op.Ion, op.Trap)
-	if r.phase[op.Ion2] != resident {
-		r.report(i, KindPresence, "ion %d is in transit during 2Q gate", op.Ion2)
-	} else if r.trapOf[op.Ion2] != op.Trap {
+	r.residentAt(i, ion, trap)
+	if r.phase[ion2] != resident {
+		r.report(i, KindPresence, "ion %d is in transit during 2Q gate", ion2)
+	} else if r.trapOf[ion2] != trap {
 		r.report(i, KindCoLocation, "2Q gate on ions %d (T%d) and %d (T%d): not co-located",
-			op.Ion, r.trapOf[op.Ion], op.Ion2, r.trapOf[op.Ion2])
+			ion, r.trapOf[ion], ion2, r.trapOf[ion2])
 	}
 	g, ok := r.checkGate(i, op, circuit.Kind2Q)
 	if !ok {
@@ -374,13 +385,13 @@ func (r *replayer) stepGate2Q(i int, op machine.Op) {
 		// keeps the verifier panic-free on ops that execute a 1Q source gate
 		// as 2Q (g.Qubits[1] would be out of range).
 		r.report(i, KindOrder, "gate %d (%s) has %d operands, op executes it as 2Q",
-			op.Gate, g.Name, len(g.Qubits))
+			gate, g.Name, len(g.Qubits))
 		return
 	}
 	qa, qb := g.Qubits[0], g.Qubits[1]
-	if !(qa == op.Ion && qb == op.Ion2) && !(qa == op.Ion2 && qb == op.Ion) {
+	if !(qa == ion && qb == ion2) && !(qa == ion2 && qb == ion) {
 		r.report(i, KindOrder, "gate %d (%s) acts on q[%d],q[%d], op executes ions %d,%d",
-			op.Gate, g.Name, qa, qb, op.Ion, op.Ion2)
+			gate, g.Name, qa, qb, ion, ion2)
 	}
 }
 
@@ -388,28 +399,29 @@ func (r *replayer) stepGate2Q(i int, op machine.Op) {
 // execute-once, DAG readiness) and marks it executed. It returns the source
 // gate when the reference itself is usable.
 func (r *replayer) checkGate(i int, op machine.Op, want circuit.GateKind) (circuit.Gate, bool) {
-	if op.Gate < 0 || op.Gate >= len(r.circ.Gates) {
-		r.report(i, KindOrder, "op references gate %d outside circuit of %d gates", op.Gate, len(r.circ.Gates))
+	gate := int(op.Gate)
+	if gate < 0 || gate >= len(r.circ.Gates) {
+		r.report(i, KindOrder, "op references gate %d outside circuit of %d gates", gate, len(r.circ.Gates))
 		return circuit.Gate{}, false
 	}
-	g := r.circ.Gates[op.Gate]
+	g := r.circ.Gates[gate]
 	if k := g.Kind(); k != want {
-		r.report(i, KindOrder, "op executes gate %d as %v, source gate is %v", op.Gate, want, k)
+		r.report(i, KindOrder, "op executes gate %d as %v, source gate is %v", gate, want, k)
 	}
-	if g.Name != op.Name {
-		r.report(i, KindOrder, "op names gate %d %q, source gate is %q", op.Gate, op.Name, g.Name)
+	if g.Name != op.Name.String() {
+		r.report(i, KindOrder, "op names gate %d %q, source gate is %q", gate, op.Name, g.Name)
 	}
-	if r.executed[op.Gate] {
-		r.report(i, KindOrder, "gate %d (%s) executed twice", op.Gate, g.Name)
+	if r.executed[gate] {
+		r.report(i, KindOrder, "gate %d (%s) executed twice", gate, g.Name)
 		return g, true
 	}
-	for _, p := range r.graph.Preds(op.Gate) {
+	for _, p := range r.graph.Preds(gate) {
 		if !r.satisfied(p) {
 			r.report(i, KindOrder, "gate %d (%s) executed before its predecessor %d (%s)",
-				op.Gate, g.Name, p, r.circ.Gates[p].Name)
+				gate, g.Name, p, r.circ.Gates[p].Name)
 		}
 	}
-	r.executed[op.Gate] = true
+	r.executed[gate] = true
 	return g, true
 }
 
@@ -434,118 +446,122 @@ func (r *replayer) satisfied(p int) bool {
 }
 
 func (r *replayer) stepSwap(i int, op machine.Op) {
-	if !r.ionOK(i, op.Ion, "swap") || !r.ionOK(i, op.Ion2, "swap") || !r.trapOK(i, op.Trap, "swap") {
+	ion, ion2, trap := int(op.Ion), int(op.Ion2), int(op.Trap)
+	if !r.ionOK(i, ion, "swap") || !r.ionOK(i, ion2, "swap") || !r.trapOK(i, trap, "swap") {
 		return
 	}
-	if !r.residentAt(i, op.Ion, op.Trap) || !r.residentAt(i, op.Ion2, op.Trap) {
+	if !r.residentAt(i, ion, trap) || !r.residentAt(i, ion2, trap) {
 		return
 	}
-	pa, pb := r.chainIndex(op.Ion), r.chainIndex(op.Ion2)
+	pa, pb := r.chainIndex(ion), r.chainIndex(ion2)
 	if pa-pb != 1 && pb-pa != 1 {
 		r.report(i, KindProtocol, "swap of non-adjacent ions %d (pos %d) and %d (pos %d) in trap %d",
-			op.Ion, pa, op.Ion2, pb, op.Trap)
+			ion, pa, ion2, pb, trap)
 		return
 	}
-	chain := r.chains[op.Trap]
+	chain := r.chains[trap]
 	chain[pa], chain[pb] = chain[pb], chain[pa]
 }
 
 func (r *replayer) stepSplit(i int, op machine.Op) {
-	if !r.ionOK(i, op.Ion, "split") || !r.trapOK(i, op.Trap, "split") {
+	ion, trap := int(op.Ion), int(op.Trap)
+	if !r.ionOK(i, ion, "split") || !r.trapOK(i, trap, "split") {
 		return
 	}
-	if !r.residentAt(i, op.Ion, op.Trap) {
+	if !r.residentAt(i, ion, trap) {
 		return
 	}
-	chain := r.chains[op.Trap]
-	p := r.chainIndex(op.Ion)
+	chain := r.chains[trap]
+	p := r.chainIndex(ion)
 	switch {
 	case len(chain) == 1:
-		r.splitEnd[op.Ion] = 2
+		r.splitEnd[ion] = 2
 	case p == 0:
-		r.splitEnd[op.Ion] = 0
+		r.splitEnd[ion] = 0
 	case p == len(chain)-1:
-		r.splitEnd[op.Ion] = 1
+		r.splitEnd[ion] = 1
 	default:
 		r.report(i, KindProtocol, "split of mid-chain ion %d (pos %d of %d) in trap %d",
-			op.Ion, p, len(chain), op.Trap)
+			ion, p, len(chain), trap)
 		return
 	}
-	r.chains[op.Trap] = append(chain[:p], chain[p+1:]...)
-	r.phase[op.Ion] = split
+	r.chains[trap] = append(chain[:p], chain[p+1:]...)
+	r.phase[ion] = split
 }
 
 func (r *replayer) stepMove(i int, op machine.Op) {
-	if !r.ionOK(i, op.Ion, "move") || !r.trapOK(i, op.Trap, "move source") || !r.trapOK(i, op.Trap2, "move destination") {
+	ion, trap, trap2 := int(op.Ion), int(op.Trap), int(op.Trap2)
+	if !r.ionOK(i, ion, "move") || !r.trapOK(i, trap, "move source") || !r.trapOK(i, trap2, "move destination") {
 		return
 	}
-	if r.phase[op.Ion] != split {
-		r.report(i, KindProtocol, "move of ion %d without a preceding split", op.Ion)
+	if r.phase[ion] != split {
+		r.report(i, KindProtocol, "move of ion %d without a preceding split", ion)
 		return
 	}
-	if r.trapOf[op.Ion] != op.Trap {
+	if r.trapOf[ion] != trap {
 		r.report(i, KindPresence, "move claims source trap %d, ion %d was split from trap %d",
-			op.Trap, op.Ion, r.trapOf[op.Ion])
+			trap, ion, r.trapOf[ion])
 		return
 	}
 	adjacent := false
-	for _, nb := range r.cfg.Topology.Neighbors(op.Trap) {
-		if nb == op.Trap2 {
+	for _, nb := range r.cfg.Topology.Neighbors(trap) {
+		if nb == trap2 {
 			adjacent = true
 			break
 		}
 	}
 	if !adjacent {
 		r.report(i, KindEdge, "move of ion %d from trap %d to trap %d: no such topology edge",
-			op.Ion, op.Trap, op.Trap2)
+			ion, trap, trap2)
 	}
 	// The split must have detached the ion from the chain end facing the
 	// destination: the high end toward a higher-numbered trap, the low end
 	// toward a lower-numbered one (the machine model's port convention).
 	wantEnd := 0
-	if op.Trap2 > op.Trap {
+	if trap2 > trap {
 		wantEnd = 1
 	}
-	if e := r.splitEnd[op.Ion]; e != 2 && e != wantEnd {
+	if e := r.splitEnd[ion]; e != 2 && e != wantEnd {
 		r.report(i, KindProtocol, "ion %d split from the chain end facing away from destination trap %d",
-			op.Ion, op.Trap2)
+			ion, trap2)
 	}
-	if len(r.chains[op.Trap2]) >= r.cfg.Capacity {
+	if len(r.chains[trap2]) >= r.cfg.Capacity {
 		r.report(i, KindCapacity, "move of ion %d into trap %d which is full (%d/%d ions, no communication slot free)",
-			op.Ion, op.Trap2, len(r.chains[op.Trap2]), r.cfg.Capacity)
+			ion, trap2, len(r.chains[trap2]), r.cfg.Capacity)
 	}
-	r.phase[op.Ion] = moved
-	r.moveFrom[op.Ion] = op.Trap
-	r.trapOf[op.Ion] = op.Trap2
+	r.phase[ion] = moved
+	r.moveFrom[ion] = trap
+	r.trapOf[ion] = trap2
 }
 
 func (r *replayer) stepMerge(i int, op machine.Op) {
-	if !r.ionOK(i, op.Ion, "merge") || !r.trapOK(i, op.Trap, "merge") {
+	ion, trap := int(op.Ion), int(op.Trap)
+	if !r.ionOK(i, ion, "merge") || !r.trapOK(i, trap, "merge") {
 		return
 	}
-	if r.phase[op.Ion] != moved {
-		r.report(i, KindProtocol, "merge of ion %d without a preceding move", op.Ion)
+	if r.phase[ion] != moved {
+		r.report(i, KindProtocol, "merge of ion %d without a preceding move", ion)
 		return
 	}
-	if r.trapOf[op.Ion] != op.Trap {
+	if r.trapOf[ion] != trap {
 		r.report(i, KindPresence, "merge claims trap %d, ion %d moved to trap %d",
-			op.Trap, op.Ion, r.trapOf[op.Ion])
+			trap, ion, r.trapOf[ion])
 		return
 	}
 	// Insert at the end facing the source trap (the machine model's merge
 	// convention: an ion entering from a lower-numbered trap lands at the
 	// low end, and vice versa).
-	chain := r.chains[op.Trap]
-	if r.moveFrom[op.Ion] < op.Trap {
-		chain = append([]int{op.Ion}, chain...)
+	chain := r.chains[trap]
+	if r.moveFrom[ion] < trap {
+		chain = append([]int{ion}, chain...)
 	} else {
-		chain = append(chain, op.Ion)
+		chain = append(chain, ion)
 	}
-	r.chains[op.Trap] = chain
-	r.phase[op.Ion] = resident
+	r.chains[trap] = chain
+	r.phase[ion] = resident
 	if len(chain) > r.cfg.Capacity {
 		r.report(i, KindCapacity, "trap %d holds %d ions after merge, capacity %d",
-			op.Trap, len(chain), r.cfg.Capacity)
+			trap, len(chain), r.cfg.Capacity)
 	}
 }
 

@@ -36,23 +36,23 @@ func gate1q(name string, ion, trap, gate int) machine.Op {
 	if name == "measure" {
 		kind = machine.OpMeasure
 	}
-	return machine.Op{Kind: kind, Ion: ion, Ion2: -1, Trap: trap, Trap2: -1, Gate: gate, Name: name}
+	return machine.Op{Kind: kind, Name: machine.LookupGateName(name), Ion: int32(ion), Ion2: -1, Trap: int32(trap), Trap2: -1, Gate: int32(gate)}
 }
 
 func gate2q(a, b, trap, gate int) machine.Op {
-	return machine.Op{Kind: machine.OpGate2Q, Ion: a, Ion2: b, Trap: trap, Trap2: -1, Gate: gate, Name: "ms"}
+	return machine.Op{Kind: machine.OpGate2Q, Name: machine.NameMS, Ion: int32(a), Ion2: int32(b), Trap: int32(trap), Trap2: -1, Gate: int32(gate)}
 }
 
 func splitOp(ion, trap int) machine.Op {
-	return machine.Op{Kind: machine.OpSplit, Ion: ion, Ion2: -1, Trap: trap, Trap2: -1, Gate: -1}
+	return machine.Op{Kind: machine.OpSplit, Ion: int32(ion), Ion2: -1, Trap: int32(trap), Trap2: -1, Gate: -1}
 }
 
 func moveOp(ion, from, to int) machine.Op {
-	return machine.Op{Kind: machine.OpMove, Ion: ion, Ion2: -1, Trap: from, Trap2: to, Gate: -1}
+	return machine.Op{Kind: machine.OpMove, Ion: int32(ion), Ion2: -1, Trap: int32(from), Trap2: int32(to), Gate: -1}
 }
 
 func mergeOp(ion, trap int) machine.Op {
-	return machine.Op{Kind: machine.OpMerge, Ion: ion, Ion2: -1, Trap: trap, Trap2: -1, Gate: -1}
+	return machine.Op{Kind: machine.OpMerge, Ion: int32(ion), Ion2: -1, Trap: int32(trap), Trap2: -1, Gate: -1}
 }
 
 // hop is the legal SPLIT MOVE MERGE sequence for one adjacent transfer.
@@ -312,7 +312,7 @@ func TestReplayNeverPanics(t *testing.T) {
 	// A stream of structurally hostile ops: out-of-range ids everywhere.
 	hostile := []machine.Op{
 		{Kind: machine.OpMove, Ion: -4, Trap: -1, Trap2: 99, Gate: -1},
-		{Kind: machine.OpGate2Q, Ion: 99, Ion2: -1, Trap: 2, Gate: 100, Name: "ms"},
+		{Kind: machine.OpGate2Q, Ion: 99, Ion2: -1, Trap: 2, Gate: 100, Name: machine.NameMS},
 		{Kind: machine.OpSwap, Ion: 0, Ion2: 0, Trap: 0, Gate: -1},
 		{Kind: machine.OpKind(42), Ion: 0, Trap: 0},
 		{Kind: machine.OpMerge, Ion: 1, Trap: 5, Gate: -1},
@@ -321,8 +321,10 @@ func TestReplayNeverPanics(t *testing.T) {
 		// Kind/arity mismatches: a 2Q op executing the 1Q source gate 1 and
 		// a 1Q op executing the 2Q source gate 0 (regression: the former
 		// indexed g.Qubits[1] out of range).
-		{Kind: machine.OpGate2Q, Ion: 0, Ion2: 1, Trap: 0, Gate: 1, Name: "ms"},
-		{Kind: machine.OpGate1Q, Ion: 2, Ion2: -1, Trap: 2, Gate: 0, Name: "r"},
+		{Kind: machine.OpGate2Q, Ion: 0, Ion2: 1, Trap: 0, Gate: 1, Name: machine.NameMS},
+		{Kind: machine.OpGate1Q, Ion: 2, Ion2: -1, Trap: 2, Gate: 0, Name: machine.NameR},
+		// A name code outside the native table.
+		{Kind: machine.OpGate1Q, Ion: 2, Ion2: -1, Trap: 2, Gate: 1, Name: machine.GateName(200)},
 	}
 	if vs := Replay(c, cfg, placement3(), hostile); len(vs) == 0 {
 		t.Fatal("hostile stream verified clean")
