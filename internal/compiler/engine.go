@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"muzzle/internal/circuit"
@@ -131,6 +132,12 @@ func (c *Compiler) CompileMapped(native *circuit.Circuit, cfg machine.Config, pl
 	return c.CompileMappedContext(context.Background(), native, cfg, placement)
 }
 
+// tracePool recycles trace buffers across compiles. A compile records into
+// a pooled buffer and returns an exact-length copy, so Result.Ops never
+// aliases pooled memory and a warm buffer spares every later compile the
+// trace's regrowth copies. It holds *[]machine.Op, so Put does not allocate.
+var tracePool = sync.Pool{New: func() any { return new([]machine.Op) }}
+
 // CompileMappedContext is CompileMapped with cooperative cancellation.
 func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Circuit, cfg machine.Config, placement [][]int) (*Result, error) {
 	start := time.Now()
@@ -152,8 +159,17 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 	if st.NumIons() < native.NumQubits {
 		return nil, fmt.Errorf("compiler: placement has %d ions, circuit needs %d", st.NumIons(), native.NumQubits)
 	}
+	// The pooled buffer goes back on every return, grown if this compile
+	// needed more room.
+	buf := tracePool.Get().(*[]machine.Op)
+	st.AdoptOps(*buf)
+	defer func() {
+		*buf = st.Ops()[:0]
+		tracePool.Put(buf)
+	}()
 	// Every gate records at least one trace op and shuttles add a few more;
-	// reserving up front keeps slice-growth copies out of the hot loop.
+	// reserving up front keeps slice-growth copies of a cold buffer out of
+	// the hot loop.
 	st.ReserveOps(len(native.Gates) + len(native.Gates)/4)
 
 	e := &engine{
@@ -178,7 +194,7 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 	if err := st.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("compiler: post-compile invariant violation: %w", err)
 	}
-	res.Ops = st.Ops()
+	res.Ops = append([]machine.Op(nil), st.Ops()...)
 	res.Shuttles = st.Shuttles()
 	res.Swaps = st.OpCount(machine.OpSwap)
 	res.Splits = st.OpCount(machine.OpSplit)

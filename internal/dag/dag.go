@@ -18,18 +18,16 @@ import (
 // Graph is the dependency graph over the gates of one circuit. Gate indices
 // refer to positions in the source circuit's Gates slice.
 //
-// Predecessors, successors and layer buckets are stored in compressed
-// sparse row form: one flat index array per relation plus int32 offsets,
-// where node i's entries are idx[off[i]:off[i+1]].
+// Only the relation the compiler and verifier read is stored: each gate's
+// layer, and its predecessors in compressed sparse row form (one flat index
+// array plus int32 offsets, where gate i's predecessors are
+// preds[predOff[i]:predOff[i+1]]).
 type Graph struct {
 	circ     *circuit.Circuit
 	layer    []int32
+	maxLayer int32
 	preds    []int
 	predOff  []int32
-	succs    []int
-	succOff  []int32
-	layers   []int
-	layerOff []int32
 }
 
 // Build constructs the dependency graph for c.
@@ -38,32 +36,30 @@ type Graph struct {
 // runs once per compile and used to dominate the compile path's allocation
 // profile (a dedupe map per gate plus per-edge appends). Edges are instead
 // deduped with a small scan over each gate's operand list (gates have 1-3
-// operands outside barriers) and stored in flat CSR arrays sized from a
-// counting pass, so Build performs O(1) allocations regardless of circuit
-// size while producing byte-identical preds/succs/layers.
+// operands outside barriers) and stored in a flat CSR array sized from the
+// operand count, so Build performs O(1) allocations regardless of circuit
+// size.
 //
 //muzzle:hotpath
 func Build(c *circuit.Circuit) *Graph {
 	n := len(c.Gates)
 	g := &Graph{
-		circ:    c,
-		layer:   make([]int32, n),
-		predOff: make([]int32, n+1),
-		succOff: make([]int32, n+1),
+		circ:     c,
+		layer:    make([]int32, n),
+		maxLayer: -1,
+		predOff:  make([]int32, n+1),
 	}
 	last := make([]int, c.NumQubits) // last gate index touching each qubit
 	for i := range last {
 		last[i] = -1
 	}
 
-	// Pass 1: per-gate distinct predecessors (dedupe via operand scan),
-	// layers, and successor counts (in succOff[p]).
+	// Each gate's distinct predecessors (dedupe via operand scan) and layer.
 	totalEdges := 0
 	for _, gate := range c.Gates {
 		totalEdges += len(gate.Qubits)
 	}
 	preds := make([]int, 0, totalEdges)
-	maxLayer := int32(-1)
 	for i, gate := range c.Gates {
 		l := int32(0)
 		start := len(preds)
@@ -83,51 +79,20 @@ func Build(c *circuit.Circuit) *Graph {
 				continue
 			}
 			preds = append(preds, p)
-			g.succOff[p]++
 			if g.layer[p]+1 > l {
 				l = g.layer[p] + 1
 			}
 		}
 		g.predOff[i+1] = int32(len(preds))
 		g.layer[i] = l
-		if l > maxLayer {
-			maxLayer = l
+		if l > g.maxLayer {
+			g.maxLayer = l
 		}
 		for _, q := range gate.Qubits {
 			last[q] = i
 		}
 	}
 	g.preds = preds
-
-	// Pass 2: successors by counting sort. The running sum turns each count
-	// into its bucket's end; filling back to front from the last gate then
-	// leaves ascending gate order in every bucket and each offset at its
-	// bucket's start.
-	for p := 1; p <= n; p++ {
-		g.succOff[p] += g.succOff[p-1]
-	}
-	g.succs = make([]int, len(preds))
-	for i := n - 1; i >= 0; i-- {
-		for _, p := range g.Preds(i) {
-			g.succOff[p]--
-			g.succs[g.succOff[p]] = i
-		}
-	}
-
-	// Layer buckets, in ascending gate order, by the same counting sort.
-	g.layerOff = make([]int32, maxLayer+2)
-	for _, l := range g.layer {
-		g.layerOff[l]++
-	}
-	for l := 1; l < len(g.layerOff); l++ {
-		g.layerOff[l] += g.layerOff[l-1]
-	}
-	g.layers = make([]int, n)
-	for i := n - 1; i >= 0; i-- {
-		l := g.layer[i]
-		g.layerOff[l]--
-		g.layers[g.layerOff[l]] = i
-	}
 	return g
 }
 
@@ -140,67 +105,16 @@ func (g *Graph) NumGates() int { return len(g.layer) }
 // Layer returns the layer index of gate i.
 func (g *Graph) Layer(i int) int { return int(g.layer[i]) }
 
-// NumLayers returns the number of layers.
-func (g *Graph) NumLayers() int { return len(g.layerOff) - 1 }
-
-// LayerGates returns the gate indices in layer l, in program order. The
-// returned slice must not be modified.
-func (g *Graph) LayerGates(l int) []int { return row(g.layers, g.layerOff, l) }
+// NumLayers returns the number of layers, which equals the length of the
+// longest dependency chain.
+func (g *Graph) NumLayers() int { return int(g.maxLayer) + 1 }
 
 // Preds returns the direct predecessors of gate i. The returned slice must
-// not be modified.
-func (g *Graph) Preds(i int) []int { return row(g.preds, g.predOff, i) }
-
-// Succs returns the direct successors of gate i. The returned slice must not
-// be modified.
-func (g *Graph) Succs(i int) []int { return row(g.succs, g.succOff, i) }
-
-// row returns CSR row i, capped so an append cannot spill into row i+1.
-func row(idx []int, off []int32, i int) []int {
-	lo, hi := off[i], off[i+1]
-	return idx[lo:hi:hi]
-}
-
-// TopoOrder returns a valid execution order using Kahn's algorithm with a
-// lowest-index-first tie break; this realises the paper's
-// earliest-ready-gate-first heuristic and, by construction, equals program
-// order (program order is itself topological for this graph class).
-func (g *Graph) TopoOrder() []int {
-	n := g.NumGates()
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = len(g.Preds(i))
-	}
-	// Min-index ready queue; a simple ordered scan is fine because indices
-	// only ever become ready in increasing program positions.
-	order := make([]int, 0, n)
-	ready := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready[i] = true
-		}
-	}
-	for len(order) < n {
-		picked := -1
-		for i := 0; i < n; i++ {
-			if ready[i] {
-				picked = i
-				break
-			}
-		}
-		if picked < 0 {
-			panic("dag: cycle in dependency graph (impossible for straight-line programs)")
-		}
-		ready[picked] = false
-		order = append(order, picked)
-		for _, s := range g.Succs(picked) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready[s] = true
-			}
-		}
-	}
-	return order
+// not be modified; it is capped so an append cannot spill into gate i+1's
+// predecessors.
+func (g *Graph) Preds(i int) []int {
+	lo, hi := g.predOff[i], g.predOff[i+1]
+	return g.preds[lo:hi:hi]
 }
 
 // ValidOrder reports whether order is a permutation of all gates that
@@ -244,7 +158,3 @@ func (g *Graph) CanHoist(idx int, executed []bool) bool {
 	}
 	return true
 }
-
-// CriticalPathLength returns the number of layers, which equals the length
-// of the longest dependency chain.
-func (g *Graph) CriticalPathLength() int { return g.NumLayers() }

@@ -292,7 +292,10 @@ func RunCircuit(ctx context.Context, c *circuit.Circuit, opt Options) (*BenchRes
 
 // compileAll runs every configured compiler and the simulator on c and
 // fills the cache on success — the single-execution body behind both the
-// direct and the coalesced paths of RunCircuit.
+// direct and the coalesced paths of RunCircuit. The front end (decomposition
+// and initial placement) does not depend on the compiler, so the first
+// compiler prepares it and every compiler schedules from the same native
+// circuit and placement.
 func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []string, key string, useCache, wantVerify bool) (*BenchResult, error) {
 	r := &BenchResult{
 		Name:      c.Name,
@@ -301,12 +304,13 @@ func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []st
 		Compilers: names,
 		Outcomes:  make(map[string]*Outcome, len(names)),
 	}
+	var fe frontEnd
 	for _, name := range names {
 		factory, err := registry.Lookup(name)
 		if err != nil {
 			return nil, fmt.Errorf("eval %s: %w", c.Name, err)
 		}
-		res, err := compileOne(ctx, c, opt, factory())
+		res, err := compileOne(ctx, c, opt, &fe, factory())
 		if err != nil {
 			return nil, fmt.Errorf("eval %s: %s: %w", c.Name, name, err)
 		}
@@ -328,20 +332,42 @@ func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []st
 	return r, nil
 }
 
+// frontEnd is a circuit's compiler-independent preparation: its native
+// decomposition and initial placement, shared by every compiler of a run.
+type frontEnd struct {
+	native    *circuit.Circuit
+	placement [][]int
+}
+
 // compileOne invokes one compiler with panic containment: the harness
-// runs arbitrary registered policies, and a buggy one must fail its
-// circuit with a structured error instead of crashing the process (the
-// daemon serves many jobs; a sweep has many more cells).
-func compileOne(ctx context.Context, c *circuit.Circuit, opt Options, comp *compiler.Compiler) (res *compiler.Result, err error) {
+// runs arbitrary registered policies and mappers, and a buggy one must
+// fail its circuit with a structured error instead of crashing the process
+// (the daemon serves many jobs; a sweep has many more cells). The first
+// call prepares fe the way CompileContext (or CompileWithMapperContext
+// with Options.Mapper) would; every call then schedules from it.
+func compileOne(ctx context.Context, c *circuit.Circuit, opt Options, fe *frontEnd, comp *compiler.Compiler) (res *compiler.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("compiler panicked: %v", p)
 		}
 	}()
-	if opt.Mapper != nil {
-		return comp.CompileWithMapperContext(ctx, c, opt.Config, opt.Mapper)
+	if fe.native == nil {
+		native, err := circuit.Decompose(c)
+		if err != nil {
+			return nil, err
+		}
+		var placement [][]int
+		if opt.Mapper != nil {
+			placement, err = opt.Mapper.Place(native, opt.Config)
+		} else {
+			placement, err = compiler.GreedyPlacement(native, opt.Config)
+		}
+		if err != nil {
+			return nil, err
+		}
+		*fe = frontEnd{native: native, placement: placement}
 	}
-	return comp.CompileContext(ctx, c, opt.Config)
+	return comp.CompileMappedContext(ctx, fe.native, opt.Config, fe.placement)
 }
 
 // verifyCached replays a cache hit's outcomes through the verifier.

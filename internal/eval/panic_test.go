@@ -24,13 +24,17 @@ func (panicDirection) Choose(*compiler.Context, int, int, int, []int) (int, int)
 // compilers across many jobs and sweep cells.
 func TestCompilerPanicIsContained(t *testing.T) {
 	const name = "eval-panic-test"
-	err := registry.Register(name, func() *compiler.Compiler {
-		c := core.New()
-		c.Direction = panicDirection{}
-		return c
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The registry is process-wide, so a repeated run (-count=N) finds the
+	// compiler already registered.
+	if !registry.Has(name) {
+		err := registry.Register(name, func() *compiler.Compiler {
+			c := core.New()
+			c.Direction = panicDirection{}
+			return c
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	opt := smallOptions()
 	opt.Compilers = []string{name}

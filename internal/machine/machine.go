@@ -292,6 +292,18 @@ func (s *State) OpCount(k OpKind) int {
 	return s.counts[k]
 }
 
+// AdoptOps makes buf's backing array the storage of the still-empty trace,
+// so a caller can record many compiles into one reused buffer. buf stays
+// the caller's: recording appends into it until its capacity runs out and
+// then moves the trace to a larger array, so the caller reads the final
+// trace back through Ops and must not touch buf meanwhile.
+func (s *State) AdoptOps(buf []Op) {
+	if len(s.ops) > 0 {
+		panic("machine: AdoptOps on a non-empty trace")
+	}
+	s.ops = buf[:0]
+}
+
 // ReserveOps grows the trace's capacity so at least n further ops can be
 // appended without reallocation. Callers that know the workload size (the
 // compiler engine knows the gate count) use it to keep the trace append

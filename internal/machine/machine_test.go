@@ -263,6 +263,39 @@ func TestSnapshotAndClone(t *testing.T) {
 	}
 }
 
+// AdoptOps records into the caller's buffer while it has room and moves the
+// trace to a larger array once it runs out.
+func TestAdoptOps(t *testing.T) {
+	s := mustState(t, twoTrapCfg(), [][]int{{0, 1}, {2, 3}})
+	buf := make([]Op, 5, 8)
+	s.AdoptOps(buf)
+	if len(s.Ops()) != 0 {
+		t.Fatalf("adopted trace has %d ops, want 0", len(s.Ops()))
+	}
+	s.ApplyGate1Q("r", 0, 0)
+	if err := s.Hop(1, 1); err != nil { // split, move, merge
+		t.Fatal(err)
+	}
+	if ops := s.Ops(); len(ops) != 4 || &ops[0] != &buf[0] || buf[0].Kind != OpGate1Q {
+		t.Fatalf("trace of %d ops does not record into the adopted buffer", len(ops))
+	}
+	for i := 0; i < 5; i++ {
+		s.ApplyGate1Q("r", 2, i+1)
+	}
+	if ops := s.Ops(); len(ops) != 9 || &ops[0] == &buf[0] || ops[0] != buf[0] {
+		t.Fatalf("trace of %d ops did not move to a larger array intact", len(ops))
+	}
+	if s.OpCount(OpGate1Q) != 6 || s.Shuttles() != 1 {
+		t.Errorf("counters: %d 1Q gates, %d shuttles", s.OpCount(OpGate1Q), s.Shuttles())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AdoptOps on a non-empty trace did not panic")
+		}
+	}()
+	s.AdoptOps(nil)
+}
+
 func TestMergeSideConvention(t *testing.T) {
 	cfg := Config{Topology: topo.Linear(3), Capacity: 5, CommCapacity: 1}
 	s := mustState(t, cfg, [][]int{{0, 1}, {2, 3}, {4, 5}})

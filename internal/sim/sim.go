@@ -203,7 +203,15 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 
 	clock := make([]float64, nTraps)
 	lastHeat := make([]float64, nTraps)
-	rep := &Report{}
+	// Every 1Q and 2Q gate op records one fidelity; counting them first
+	// sizes the list once instead of regrowing it by append.
+	nGates := 0
+	for _, op := range ops {
+		if op.Kind == machine.OpGate1Q || op.Kind == machine.OpGate2Q {
+			nGates++
+		}
+	}
+	rep := &Report{GateFidelities: make([]float64, 0, nGates)}
 
 	// advance moves trap t's clock forward by dur, integrating background
 	// heating over the elapsed interval first.

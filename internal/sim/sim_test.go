@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"muzzle/internal/bench"
+	"muzzle/internal/circuit"
+	"muzzle/internal/core"
 	"muzzle/internal/machine"
 	"muzzle/internal/topo"
 )
@@ -477,6 +481,26 @@ func TestSampleSuccessDeterministicSeed(t *testing.T) {
 	}
 	if a.Mean != b.Mean {
 		t.Error("same seed produced different estimates")
+	}
+}
+
+// The fidelity list is sized once from the trace's gate ops, so a compiled
+// program's list has no spare or regrown capacity.
+func TestGateFidelitiesSizedOnce(t *testing.T) {
+	c, err := circuit.Decompose(bench.QFT(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.New().CompileContext(context.Background(), c, machine.PaperL6())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := SimulateContext(context.Background(), res.Config, res.InitialPlacement, res.Ops, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.GateFidelities); n == 0 || n != rep.Gates1Q+rep.Gates2Q || cap(rep.GateFidelities) != n {
+		t.Errorf("GateFidelities len %d cap %d, want both %d", n, cap(rep.GateFidelities), rep.Gates1Q+rep.Gates2Q)
 	}
 }
 

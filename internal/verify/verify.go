@@ -240,13 +240,20 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, gra
 	for i := range r.trapOf {
 		r.trapOf[i] = -1
 	}
+	// Every chain gets room for a full trap up front, carved from one
+	// backing array, so merges and splits shift in place. A trap never
+	// legally holds more than every ion, which bounds the room whatever
+	// Capacity claims; a chain that outgrows its room (an overfull
+	// placement or a merge past capacity) moves to its own array.
+	room := min(cfg.Capacity, total)
+	backing := make([]int, len(initial)*room)
 	for t, chain := range initial {
 		if len(chain) > cfg.MaxInitialLoad() {
 			r.report(-1, KindPlacement,
 				"trap %d initially holds %d ions, exceeding capacity %d minus communication reservation %d",
 				t, len(chain), cfg.Capacity, cfg.CommCapacity)
 		}
-		r.chains[t] = append([]int(nil), chain...)
+		r.chains[t] = append(backing[t*room:t*room:(t+1)*room], chain...)
 		for _, ion := range chain {
 			if ion < 0 || ion >= total {
 				r.report(-1, KindPlacement, "ion id %d outside dense range [0,%d)", ion, total)
@@ -551,11 +558,10 @@ func (r *replayer) stepMerge(i int, op machine.Op) {
 	// Insert at the end facing the source trap (the machine model's merge
 	// convention: an ion entering from a lower-numbered trap lands at the
 	// low end, and vice versa).
-	chain := r.chains[trap]
+	chain := append(r.chains[trap], ion)
 	if r.moveFrom[ion] < trap {
-		chain = append([]int{ion}, chain...)
-	} else {
-		chain = append(chain, ion)
+		copy(chain[1:], chain)
+		chain[0] = ion
 	}
 	r.chains[trap] = chain
 	r.phase[ion] = resident

@@ -92,6 +92,32 @@ func TestReplayCleanHandBuilt(t *testing.T) {
 	wantClean(t, Replay(c, l3(3, 1), placement3(), ops))
 }
 
+// A merge from the lower-numbered trap lands at the low end of a chain that
+// has room without allocating: the chain shifts in place. The ion hops
+// T0 -> T1 (low-side merge) and back, so every run replays the same ops.
+func TestReplayMergeInPlace(t *testing.T) {
+	c := nativeCirc()
+	r := newReplayer(c, l3(3, 1), [][]int{{0}, {1, 2}, {}}, nil)
+	ops := append(hop(0, 0, 1), hop(0, 1, 0)...)
+	front := -1
+	allocs := testing.AllocsPerRun(50, func() {
+		for i, op := range ops[:3] {
+			r.step(i, op)
+		}
+		front = r.chains[1][0]
+		for i, op := range ops[3:] {
+			r.step(3+i, op)
+		}
+	})
+	wantClean(t, r.violations)
+	if front != 0 {
+		t.Errorf("ion merged from the low side sits behind ion %d, want at position 0", front)
+	}
+	if allocs != 0 {
+		t.Errorf("replaying a low-side merge allocated %.0f times per run, want 0", allocs)
+	}
+}
+
 func TestReplayBadPlacement(t *testing.T) {
 	c := nativeCirc()
 	cfg := l3(3, 1)
