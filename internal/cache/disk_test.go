@@ -161,3 +161,28 @@ func TestDiskReadRefreshesRecency(t *testing.T) {
 		t.Fatalf("least recently used entry survived (err=%v)", err)
 	}
 }
+
+// A disk entry that decodes but names a compiler without an outcome is
+// corrupt: the lookup counts it as a disk error and misses, where
+// rebuilding it would dereference the missing outcome.
+func TestDiskNullOutcomeIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	l, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := diskKey(1)
+	if err := os.MkdirAll(filepath.Dir(l.path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"circuit":"c","qubits":4,"gates_2q":3,"compilers":["baseline"],"outcomes":{"baseline":null}}`
+	if err := os.WriteFile(l.path(key), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := l.GetKey(key); ok {
+		t.Fatal("corrupt entry served as a hit")
+	}
+	if s := l.Stats(); s.DiskErrors != 1 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 disk error and 1 miss", s)
+	}
+}

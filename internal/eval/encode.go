@@ -149,10 +149,29 @@ func WriteResultJSON(w io.Writer, r *BenchResult) error {
 }
 
 // ReadResultJSON parses a summary previously written by WriteResultJSON.
+// It rejects a summary that lists no compiler or whose outcomes are not
+// exactly one non-nil outcome per listed compiler, so BenchResult can
+// rebuild every summary it returns.
 func ReadResultJSON(r io.Reader) (*ResultJSON, error) {
 	var j ResultJSON
 	if err := json.NewDecoder(r).Decode(&j); err != nil {
 		return nil, fmt.Errorf("eval: decode result: %w", err)
+	}
+	if len(j.Compilers) == 0 {
+		return nil, fmt.Errorf("eval: decode result: no compilers listed")
+	}
+	seen := make(map[string]bool, len(j.Compilers))
+	for _, name := range j.Compilers {
+		if seen[name] {
+			return nil, fmt.Errorf("eval: decode result: compiler %q listed twice", name)
+		}
+		seen[name] = true
+		if j.Outcomes[name] == nil {
+			return nil, fmt.Errorf("eval: decode result: no outcome for compiler %q", name)
+		}
+	}
+	if len(j.Outcomes) != len(j.Compilers) {
+		return nil, fmt.Errorf("eval: decode result: %d outcomes for %d compilers", len(j.Outcomes), len(j.Compilers))
 	}
 	return &j, nil
 }

@@ -4,21 +4,23 @@ import (
 	"testing"
 )
 
+// fuzzSeeds start FuzzQASM's corpus; the golden corpus pins their parses.
+var fuzzSeeds = []string{
+	"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\n",
+	"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nrz(0.1) q[0];\nmeasure q -> c;\n",
+	"OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\ncreg c[4];\nbarrier a;\nmeasure b[1] -> c[3];\n",
+	"OPENQASM 2.0;\nqreg q[4];\ngate foo a,b { cx a,b; h a; }\nfoo q[0],q[2];\n",
+	"OPENQASM 2.0;\nqreg q[1];\nu2(pi/2,-pi/4) q[0];\n",
+	"OPENQASM 2.0;\nqreg q[2];\ncp(0.25) q[0],q[1];\n",
+}
+
 // FuzzQASM exercises the parser on arbitrary input (it must reject or
 // accept, never panic) and, for accepted programs, pins the round-trip
 // property: writing the parsed circuit and re-parsing it reproduces the
 // same register size and gate stream — names, operands, parameters, and
 // measurement wiring included.
 func FuzzQASM(f *testing.F) {
-	seeds := []string{
-		"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\n",
-		"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nrz(0.1) q[0];\nmeasure q -> c;\n",
-		"OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\ncreg c[4];\nbarrier a;\nmeasure b[1] -> c[3];\n",
-		"OPENQASM 2.0;\nqreg q[4];\ngate foo a,b { cx a,b; h a; }\nfoo q[0],q[2];\n",
-		"OPENQASM 2.0;\nqreg q[1];\nu2(pi/2,-pi/4) q[0];\n",
-		"OPENQASM 2.0;\nqreg q[2];\ncp(0.25) q[0],q[1];\n",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

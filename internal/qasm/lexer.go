@@ -1,12 +1,46 @@
 // Package qasm implements a reader and writer for the subset of OpenQASM 2.0
-// needed by the benchmark suite: a single quantum register, the standard
-// gates recognised by the circuit package, barriers, and measurements.
+// needed by the benchmark suite: quantum and classical registers, the
+// standard gates recognised by the circuit package, gate definitions,
+// barriers, and measurements.
 //
 // The Go ecosystem has no QASM support, so this package is built from
-// scratch: a hand-written lexer, a recursive-descent parser with a small
-// constant-expression evaluator for angle arguments (supporting pi, + - * /,
-// unary minus and parentheses), and a deterministic writer whose output
-// round-trips through the parser.
+// scratch: a hand-written lexer that the parser pulls tokens from one at a
+// time, a recursive-descent parser that records the program as a flat
+// statement list, a small constant-expression evaluator for angle
+// arguments (supporting pi, + - * /, unary minus and parentheses), and a
+// deterministic writer whose output round-trips through the parser.
+//
+// # Limits
+//
+// Parse accepts untrusted input, so it bounds what a program may ask for:
+//
+//   - the registers of each kind may hold MaxQubits qubits (or classical
+//     bits) together;
+//   - the gate applications may expand, through broadcasts and gate
+//     definitions, to MaxGates gates holding MaxOperands qubit operands;
+//   - gate definitions may nest maxMacroDepth levels deep, and angle
+//     expressions maxExprDepth levels.
+//
+// # Errors
+//
+// Parse reports one error, the first it meets:
+//
+//  1. the first lexical or syntax error in source order, including an
+//     unknown register, an index out of range, a parameter that does not
+//     evaluate, and a register that takes its kind past MaxQubits;
+//  2. a program that declares no quantum register;
+//  3. the first statement, in program order, that takes the expansion past
+//     MaxGates or MaxOperands;
+//  4. the first error met while expanding the statements into gates, in
+//     program order: a gate definition applied with the wrong number of
+//     qubits or parameters or nested too deep, a body that does not
+//     evaluate, or a gate that repeats an operand.
+//
+// The limits are checked by counting the statement list before any gate is
+// built. The count follows the expansion up to the first definition that
+// nests too deep, since the expansion stops there; it does not look for
+// the other expansion errors, so a program that is over a limit reports
+// the limit even if its expansion would also fail.
 package qasm
 
 import (
@@ -22,15 +56,17 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokSymbol // single punctuation: ; , ( ) [ ] { } + - * / ->
-	tokArrow
+	tokSymbol // single punctuation: ; , ( ) [ ] { } + - * / =
+	tokArrow  // ->
+	tokError  // a lexical error; text holds its message
 )
 
+// token is one lexeme. Its text is a substring of the source, so making a
+// token never allocates.
 type token struct {
 	kind tokenKind
 	text string
 	line int
-	col  int
 }
 
 func (t token) String() string {
@@ -42,19 +78,18 @@ func (t token) String() string {
 	}
 }
 
+// lexer produces the tokens of src one at a time. After a lexical error it
+// keeps returning the same error token.
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src    string
+	pos    int
+	line   int
+	failed token
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
-func (l *lexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
+func (l *lexer) fail(format string, args ...any) token {
+	l.failed = token{kind: tokError, text: fmt.Sprintf(format, args...), line: l.line}
+	return l.failed
 }
 
 func (l *lexer) peekByte() (byte, bool) {
@@ -64,16 +99,11 @@ func (l *lexer) peekByte() (byte, bool) {
 	return l.src[l.pos], true
 }
 
-func (l *lexer) advance() byte {
-	b := l.src[l.pos]
-	l.pos++
-	if b == '\n' {
+func (l *lexer) advance() {
+	if l.src[l.pos] == '\n' {
 		l.line++
-		l.col = 1
-	} else {
-		l.col++
 	}
-	return b
+	l.pos++
 }
 
 // skipSpace consumes whitespace and // comments.
@@ -111,16 +141,20 @@ func isIdentPart(b byte) bool {
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }
 
 // next returns the next token.
-func (l *lexer) next() (token, error) {
+func (l *lexer) next() token {
+	if l.failed.kind == tokError {
+		return l.failed
+	}
 	l.skipSpace()
-	line, col := l.line, l.col
+	line, start := l.line, l.pos
 	b, ok := l.peekByte()
 	if !ok {
-		return token{kind: tokEOF, line: line, col: col}, nil
+		return token{kind: tokEOF, line: line}
 	}
+	kind := tokSymbol
 	switch {
 	case isIdentStart(b):
-		start := l.pos
+		kind = tokIdent
 		for {
 			b, ok := l.peekByte()
 			if !ok || !isIdentPart(b) {
@@ -128,9 +162,8 @@ func (l *lexer) next() (token, error) {
 			}
 			l.advance()
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: line, col: col}, nil
 	case isDigit(b) || b == '.':
-		start := l.pos
+		kind = tokNumber
 		seenE := false
 		for {
 			b, ok := l.peekByte()
@@ -151,51 +184,30 @@ func (l *lexer) next() (token, error) {
 			}
 			break
 		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], line: line, col: col}, nil
 	case b == '"':
 		l.advance()
-		start := l.pos
 		for {
 			b, ok := l.peekByte()
 			if !ok {
-				return token{}, l.errorf("unterminated string")
+				return l.fail("unterminated string")
 			}
 			if b == '"' {
 				break
 			}
 			l.advance()
 		}
-		text := l.src[start:l.pos]
 		l.advance() // closing quote
-		return token{kind: tokString, text: text, line: line, col: col}, nil
+		return token{kind: tokString, text: l.src[start+1 : l.pos-1], line: line}
 	case b == '-':
 		l.advance()
 		if nb, ok := l.peekByte(); ok && nb == '>' {
 			l.advance()
-			return token{kind: tokArrow, text: "->", line: line, col: col}, nil
+			kind = tokArrow
 		}
-		return token{kind: tokSymbol, text: "-", line: line, col: col}, nil
 	case strings.IndexByte(";,()[]{}+*/=", b) >= 0:
 		l.advance()
-		return token{kind: tokSymbol, text: string(b), line: line, col: col}, nil
 	default:
-		return token{}, l.errorf("unexpected character %q", b)
+		return l.fail("unexpected character %q", b)
 	}
-}
-
-// lexAll tokenizes the whole input (used by the parser, which needs one token
-// of lookahead).
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	var toks []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
+	return token{kind: kind, text: l.src[start:l.pos], line: line}
 }

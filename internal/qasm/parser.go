@@ -9,11 +9,38 @@ import (
 	"muzzle/internal/circuit"
 )
 
+const (
+	// MaxQubits caps the qubits of all quantum registers together, and
+	// likewise the bits of all classical registers. A whole-register
+	// operand broadcasts one gate per qubit, so without a cap a few bytes
+	// of source ask for gigabytes ("qreg q[10000000]; h q;"); 65,536 is
+	// hundreds of times what the paper's largest machine holds.
+	MaxQubits = 1 << 16
+	// MaxGates caps the gates a program expands to. Nested two-call gate
+	// definitions double the gate count per line of source, so a program
+	// of a few hundred bytes could otherwise ask for 2^32 gates; 2^20 is
+	// over a hundred times the paper's largest benchmark.
+	MaxGates = 1 << 20
+	// MaxOperands caps the qubit operands of those gates together, four
+	// per gate on average. A barrier holds one operand per qubit it spans,
+	// so without it a program of MaxGates wide barriers would still hold
+	// billions of operands.
+	MaxOperands = 4 * MaxGates
+)
+
+const (
+	// maxMacroDepth is how deep gate definitions may nest when applied.
+	maxMacroDepth = 32
+	// maxExprDepth is how deep parentheses and signs may nest in an angle
+	// expression, which bounds the recursive descent's stack.
+	maxExprDepth = 64
+)
+
 // Parse reads OpenQASM 2.0 source and returns the circuit it describes.
 //
 // Supported subset:
 //   - OPENQASM 2.0; and include "..."; headers (include is ignored)
-//   - one qreg declaration (multiple qregs are concatenated into one
+//   - qreg declarations (multiple qregs are concatenated into one
 //     register, offset in declaration order) and creg declarations
 //     (concatenated the same way into one classical register)
 //   - gate applications with optional parenthesised angle expressions
@@ -24,13 +51,23 @@ import (
 //
 // Gate definitions ("gate ... { }") are parsed and expanded inline when
 // applied, so files from common generators (Qiskit dumps) load correctly.
+// Applications resolve definitions after the whole program is read, so a
+// gate may be applied before its definition, and the last definition of a
+// name wins. The package documentation lists the limits on what a program
+// may expand to and the order in which errors are reported.
 func Parse(name, src string) (*circuit.Circuit, error) {
-	toks, err := lexAll(src)
+	p := &parser{lex: lexer{src: src, line: 1}, name: name, regs: map[string]regInfo{}}
+	if err := p.parseProgram(); err != nil {
+		return nil, err
+	}
+	if p.qsize == 0 {
+		return nil, fmt.Errorf("qasm %q: no qreg declared", name)
+	}
+	gates, err := p.count()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, name: name, regs: map[string]regInfo{}, macros: map[string]*macro{}}
-	return p.parseProgram()
+	return p.build(gates)
 }
 
 type regInfo struct {
@@ -39,110 +76,131 @@ type regInfo struct {
 	kind   byte // 'q' or 'c'
 }
 
+// span is count consecutive indices from first: an operand (one qubit or
+// classical bit, or a whole register), or a run of the parser's operands,
+// parameters or expression code.
+type span struct{ first, count int }
+
+type stmtKind uint8
+
+const (
+	stmtGate stmtKind = iota
+	stmtBarrier
+	stmtMeasure // ops holds the qubits, then the classical bits
+)
+
+// stmt is one gate, barrier or measure statement of the program.
+type stmt struct {
+	kind   stmtKind
+	line   int
+	name   string
+	ops    span // in parser.ops
+	params span // in parser.params
+}
+
 // macro is a user gate definition.
 type macro struct {
-	params []string // formal angle parameters
-	args   []string // formal qubit parameters
-	body   []macroOp
+	nparams int // formal angle parameters
+	nargs   int // formal qubit arguments
+	body    []macroOp
+	// sizes memoizes count's size of one application of the definition at
+	// each nesting depth.
+	sizes [maxMacroDepth + 1]expansion
 }
 
 type macroOp struct {
 	name   string
-	params []expr   // expressions over macro params
-	args   []string // formal qubit names
+	params []span   // expressions, each a run of parser.code
+	args   []formal // qubit arguments
 }
 
-// expr is a parsed constant expression tree over named parameters.
-type expr interface {
-	eval(env map[string]float64) (float64, error)
+// formal is a name in a gate body, resolved to the position of the formal
+// parameter or qubit argument it names, or -1 if it names none. When two
+// formals share a name, the last one wins.
+type formal struct {
+	name  string
+	index int
 }
 
-type numExpr float64
-
-func (n numExpr) eval(map[string]float64) (float64, error) { return float64(n), nil }
-
-type varExpr string
-
-func (v varExpr) eval(env map[string]float64) (float64, error) {
-	if string(v) == "pi" {
-		return math.Pi, nil
-	}
-	x, ok := env[string(v)]
-	if !ok {
-		return 0, fmt.Errorf("unknown identifier %q in expression", string(v))
-	}
-	return x, nil
-}
-
-type unaryExpr struct {
-	op byte
-	x  expr
-}
-
-func (u unaryExpr) eval(env map[string]float64) (float64, error) {
-	x, err := u.x.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	if u.op == '-' {
-		return -x, nil
-	}
-	return x, nil
-}
-
-type binExpr struct {
-	op   byte
-	l, r expr
-}
-
-func (b binExpr) eval(env map[string]float64) (float64, error) {
-	l, err := b.l.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.r.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.op {
-	case '+':
-		return l + r, nil
-	case '-':
-		return l - r, nil
-	case '*':
-		return l * r, nil
-	case '/':
-		if r == 0 {
-			return 0, fmt.Errorf("division by zero in expression")
+func resolve(names []string, name string) formal {
+	for i := len(names) - 1; i >= 0; i-- {
+		if names[i] == name {
+			return formal{name, i}
 		}
-		return l / r, nil
 	}
-	return 0, fmt.Errorf("unknown operator %q", b.op)
+	return formal{name, -1}
+}
+
+// instr is one step of an angle expression compiled to postfix form.
+type instr struct {
+	op  byte    // 'n' pushes num, 'v' pushes parameter v, '~' negates, + - * / combine
+	num float64 // 'n'
+	v   formal  // 'v'
+}
+
+// expansion is what applying a gate emits: its gates and their qubit
+// operands, each capped just past its limit, and whether the expansion
+// stops early on a definition nested too deep.
+type expansion struct {
+	gates, operands int
+	deep, known     bool
 }
 
 type parser struct {
-	toks   []token
-	pos    int
+	lex  lexer
+	tok  token // the lookahead, valid when have is set
+	have bool
+
 	name   string
 	regs   map[string]regInfo
 	qsize  int
 	csize  int
 	macros map[string]*macro
+
+	stmts  []stmt
+	ops    []span
+	params []float64
+	code   []instr // gate bodies' expressions, then the one being parsed
+
+	// Scratch for eval and build, used as stacks.
+	stack  []float64
+	qubits []int
+	vals   []float64
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+// cur returns the lookahead token, lexing it on first use: a statement is
+// parsed before the source after it is lexed, so errors come in source
+// order.
+func (p *parser) cur() token {
+	if !p.have {
+		p.tok = p.lex.next()
+		p.have = true
+	}
+	return p.tok
+}
 
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
-	}
+	t := p.cur()
+	p.have = false
 	return t
 }
 
+func (p *parser) isSymbol(s string) bool {
+	t := p.cur()
+	return t.kind == tokSymbol && t.text == s
+}
+
+// errorf reports an error at token t; at an error token, the lexical error
+// is the one reported.
 func (p *parser) errorf(t token, format string, args ...any) error {
-	return fmt.Errorf("qasm %q: line %d: %s", p.name, t.line, fmt.Sprintf(format, args...))
+	if t.kind == tokError {
+		return fmt.Errorf("qasm: line %d: %s", t.line, t.text)
+	}
+	return p.errorAt(t.line, format, args...)
+}
+
+func (p *parser) errorAt(line int, format string, args ...any) error {
+	return fmt.Errorf("qasm %q: line %d: %s", p.name, line, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expectSymbol(s string) error {
@@ -161,74 +219,48 @@ func (p *parser) expectIdent() (token, error) {
 	return t, nil
 }
 
-func (p *parser) parseProgram() (*circuit.Circuit, error) {
+func (p *parser) parseProgram() error {
 	// Header: OPENQASM 2.0;
 	if t := p.cur(); t.kind == tokIdent && t.text == "OPENQASM" {
 		p.advance()
 		if t := p.advance(); t.kind != tokNumber {
-			return nil, p.errorf(t, "expected version number")
+			return p.errorf(t, "expected version number")
 		}
 		if err := p.expectSymbol(";"); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	// First pass collects register declarations and gate defs while building
-	// the op list; circuit allocation is deferred until first qreg is known.
-	var pending []func(c *circuit.Circuit) error
 	for p.cur().kind != tokEOF {
 		t := p.cur()
 		if t.kind != tokIdent {
-			return nil, p.errorf(t, "expected statement, found %s", t)
+			return p.errorf(t, "expected statement, found %s", t)
 		}
+		var err error
 		switch t.text {
 		case "include":
 			p.advance()
 			if t := p.advance(); t.kind != tokString {
-				return nil, p.errorf(t, "expected include path string")
+				return p.errorf(t, "expected include path string")
 			}
-			if err := p.expectSymbol(";"); err != nil {
-				return nil, err
-			}
+			err = p.expectSymbol(";")
 		case "qreg", "creg":
-			if err := p.parseRegDecl(t.text); err != nil {
-				return nil, err
-			}
+			err = p.parseRegDecl(t.text)
 		case "gate":
-			if err := p.parseGateDef(); err != nil {
-				return nil, err
-			}
+			err = p.parseGateDef()
 		case "barrier":
-			ops, err := p.parseBarrier()
-			if err != nil {
-				return nil, err
-			}
-			pending = append(pending, ops)
+			err = p.parseBarrier()
 		case "measure":
-			ops, err := p.parseMeasure()
-			if err != nil {
-				return nil, err
-			}
-			pending = append(pending, ops)
+			err = p.parseMeasure()
 		case "if", "reset", "opaque":
-			return nil, p.errorf(t, "unsupported statement %q", t.text)
+			err = p.errorf(t, "unsupported statement %q", t.text)
 		default:
-			ops, err := p.parseApplication()
-			if err != nil {
-				return nil, err
-			}
-			pending = append(pending, ops)
+			err = p.parseApplication()
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if p.qsize == 0 {
-		return nil, fmt.Errorf("qasm %q: no qreg declared", p.name)
-	}
-	c := circuit.New(p.name, p.qsize)
-	for _, f := range pending {
-		if err := f(c); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return nil
 }
 
 func (p *parser) parseRegDecl(kind string) error {
@@ -257,141 +289,125 @@ func (p *parser) parseRegDecl(kind string) error {
 	if _, dup := p.regs[nameTok.text]; dup {
 		return p.errorf(nameTok, "register %q redeclared", nameTok.text)
 	}
-	ri := regInfo{size: size, kind: kind[0]}
-	if kind == "qreg" {
-		ri.offset = p.qsize
-		p.qsize += size
-	} else {
-		ri.offset = p.csize
-		p.csize += size
+	total, unit := &p.qsize, "qubits"
+	if kind == "creg" {
+		total, unit = &p.csize, "classical bits"
 	}
-	p.regs[nameTok.text] = ri
+	if size > MaxQubits-*total {
+		return p.errorf(sizeTok, "register %q takes the program past %d %s", nameTok.text, MaxQubits, unit)
+	}
+	p.regs[nameTok.text] = regInfo{offset: *total, size: size, kind: kind[0]}
+	*total += size
 	return nil
 }
 
-// parseQubitRef parses name[idx] or bare name (whole register) and returns
-// the global qubit indices.
-func (p *parser) parseQubitRef() ([]int, error) {
+// parseRef parses name[idx] or a bare register name (the whole register)
+// and returns the global indices it denotes: qubits for kind 'q', classical
+// bits for kind 'c'.
+func (p *parser) parseRef(kind byte) (span, error) {
 	nameTok, err := p.expectIdent()
 	if err != nil {
-		return nil, err
+		return span{}, err
 	}
 	ri, ok := p.regs[nameTok.text]
-	if !ok {
-		return nil, p.errorf(nameTok, "unknown register %q", nameTok.text)
-	}
-	if ri.kind != 'q' {
-		return nil, p.errorf(nameTok, "register %q is classical", nameTok.text)
-	}
-	if p.cur().kind == tokSymbol && p.cur().text == "[" {
-		p.advance()
-		idxTok := p.advance()
-		if idxTok.kind != tokNumber {
-			return nil, p.errorf(idxTok, "expected qubit index")
+	what := "qubit"
+	switch {
+	case kind == 'c':
+		what = "bit"
+		if !ok || ri.kind != 'c' {
+			return span{}, p.errorf(nameTok, "unknown classical register %q", nameTok.text)
 		}
-		idx, err := strconv.Atoi(idxTok.text)
-		if err != nil || idx < 0 || idx >= ri.size {
-			return nil, p.errorf(idxTok, "qubit index %q out of range for %s[%d]", idxTok.text, nameTok.text, ri.size)
-		}
-		if err := p.expectSymbol("]"); err != nil {
-			return nil, err
-		}
-		return []int{ri.offset + idx}, nil
+	case !ok:
+		return span{}, p.errorf(nameTok, "unknown register %q", nameTok.text)
+	case ri.kind != 'q':
+		return span{}, p.errorf(nameTok, "register %q is classical", nameTok.text)
 	}
-	all := make([]int, ri.size)
-	for i := range all {
-		all[i] = ri.offset + i
+	if !p.isSymbol("[") {
+		return span{ri.offset, ri.size}, nil
 	}
-	return all, nil
+	p.advance()
+	idxTok := p.advance()
+	if idxTok.kind != tokNumber {
+		return span{}, p.errorf(idxTok, "expected %s index", what)
+	}
+	idx, err := strconv.Atoi(idxTok.text)
+	if err != nil || idx < 0 || idx >= ri.size {
+		return span{}, p.errorf(idxTok, "%s index %q out of range for %s[%d]", what, idxTok.text, nameTok.text, ri.size)
+	}
+	if err := p.expectSymbol("]"); err != nil {
+		return span{}, err
+	}
+	return span{ri.offset + idx, 1}, nil
 }
 
-// parseCbitRef parses name[idx] or bare name (whole classical register) and
-// returns the global classical bit indices, offset across cregs the same
-// way qubits are offset across qregs.
-func (p *parser) parseCbitRef() ([]int, error) {
-	nameTok, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	ri, ok := p.regs[nameTok.text]
-	if !ok || ri.kind != 'c' {
-		return nil, p.errorf(nameTok, "unknown classical register %q", nameTok.text)
-	}
-	if p.cur().kind == tokSymbol && p.cur().text == "[" {
-		p.advance()
-		idxTok := p.advance()
-		if idxTok.kind != tokNumber {
-			return nil, p.errorf(idxTok, "expected bit index")
-		}
-		idx, err := strconv.Atoi(idxTok.text)
-		if err != nil || idx < 0 || idx >= ri.size {
-			return nil, p.errorf(idxTok, "bit index %q out of range for %s[%d]", idxTok.text, nameTok.text, ri.size)
-		}
-		if err := p.expectSymbol("]"); err != nil {
-			return nil, err
-		}
-		return []int{ri.offset + idx}, nil
-	}
-	all := make([]int, ri.size)
-	for i := range all {
-		all[i] = ri.offset + i
-	}
-	return all, nil
-}
-
-func (p *parser) parseBarrier() (func(*circuit.Circuit) error, error) {
-	tok := p.advance() // barrier
-	var qubits []int
+// parseOperands parses a comma-separated list of qubit references onto
+// p.ops and returns its run.
+func (p *parser) parseOperands() (span, error) {
+	first := len(p.ops)
 	for {
-		qs, err := p.parseQubitRef()
+		s, err := p.parseRef('q')
+		if err != nil {
+			return span{}, err
+		}
+		p.ops = append(p.ops, s)
+		if !p.isSymbol(",") {
+			return span{first, len(p.ops) - first}, nil
+		}
+		p.advance()
+	}
+}
+
+func (p *parser) parseBarrier() error {
+	tok := p.advance() // barrier
+	ops, err := p.parseOperands()
+	if err != nil {
+		return err
+	}
+	if err := p.expectSymbol(";"); err != nil {
+		return err
+	}
+	p.stmts = append(p.stmts, stmt{kind: stmtBarrier, line: tok.line, name: "barrier", ops: ops})
+	return nil
+}
+
+func (p *parser) parseMeasure() error {
+	tok := p.advance() // measure
+	qs, err := p.parseRef('q')
+	if err != nil {
+		return err
+	}
+	if err := p.expectSymbol("->"); err != nil {
+		return err
+	}
+	cs, err := p.parseRef('c')
+	if err != nil {
+		return err
+	}
+	if err := p.expectSymbol(";"); err != nil {
+		return err
+	}
+	if qs.count != cs.count {
+		return p.errorf(tok, "measure maps %d qubit(s) to %d classical bit(s)", qs.count, cs.count)
+	}
+	p.ops = append(p.ops, qs, cs)
+	p.stmts = append(p.stmts, stmt{kind: stmtMeasure, line: tok.line, name: "measure", ops: span{len(p.ops) - 2, 2}})
+	return nil
+}
+
+// parseIdents parses a comma-separated identifier list.
+func (p *parser) parseIdents() ([]string, error) {
+	var names []string
+	for {
+		t, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		qubits = append(qubits, qs...)
-		if p.cur().kind == tokSymbol && p.cur().text == "," {
-			p.advance()
-			continue
+		names = append(names, t.text)
+		if !p.isSymbol(",") {
+			return names, nil
 		}
-		break
+		p.advance()
 	}
-	if err := p.expectSymbol(";"); err != nil {
-		return nil, err
-	}
-	return func(c *circuit.Circuit) error {
-		if err := c.Append(circuit.Gate{Name: "barrier", Qubits: qubits}); err != nil {
-			return p.errorf(tok, "%v", err)
-		}
-		return nil
-	}, nil
-}
-
-func (p *parser) parseMeasure() (func(*circuit.Circuit) error, error) {
-	tok := p.advance() // measure
-	qs, err := p.parseQubitRef()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("->"); err != nil {
-		return nil, err
-	}
-	cs, err := p.parseCbitRef()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol(";"); err != nil {
-		return nil, err
-	}
-	if len(qs) != len(cs) {
-		return nil, p.errorf(tok, "measure maps %d qubit(s) to %d classical bit(s)", len(qs), len(cs))
-	}
-	return func(c *circuit.Circuit) error {
-		for i, q := range qs {
-			if err := c.Append(circuit.Gate{Name: "measure", Qubits: []int{q}, Cbit: cs[i]}); err != nil {
-				return p.errorf(tok, "%v", err)
-			}
-		}
-		return nil
-	}, nil
 }
 
 // parseGateDef parses "gate name(p1,p2) a,b { body }".
@@ -401,71 +417,59 @@ func (p *parser) parseGateDef() error {
 	if err != nil {
 		return err
 	}
-	m := &macro{}
-	if p.cur().kind == tokSymbol && p.cur().text == "(" {
+	var params []string
+	if p.isSymbol("(") {
 		p.advance()
-		for p.cur().kind != tokSymbol || p.cur().text != ")" {
+		for !p.isSymbol(")") {
 			pt, err := p.expectIdent()
 			if err != nil {
 				return err
 			}
-			m.params = append(m.params, pt.text)
-			if p.cur().kind == tokSymbol && p.cur().text == "," {
+			params = append(params, pt.text)
+			if p.isSymbol(",") {
 				p.advance()
 			}
 		}
 		p.advance() // )
 	}
-	for {
-		at, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		m.args = append(m.args, at.text)
-		if p.cur().kind == tokSymbol && p.cur().text == "," {
-			p.advance()
-			continue
-		}
-		break
+	args, err := p.parseIdents()
+	if err != nil {
+		return err
 	}
 	if err := p.expectSymbol("{"); err != nil {
 		return err
 	}
-	for p.cur().kind != tokSymbol || p.cur().text != "}" {
+	m := &macro{nparams: len(params), nargs: len(args)}
+	for !p.isSymbol("}") {
 		if p.cur().kind == tokEOF {
 			return p.errorf(p.cur(), "unterminated gate body for %q", nameTok.text)
 		}
-		op := macroOp{}
 		nt, err := p.expectIdent()
 		if err != nil {
 			return err
 		}
-		op.name = nt.text
-		if p.cur().kind == tokSymbol && p.cur().text == "(" {
+		op := macroOp{name: nt.text}
+		if p.isSymbol("(") {
 			p.advance()
-			for p.cur().kind != tokSymbol || p.cur().text != ")" {
-				e, err := p.parseExpr()
-				if err != nil {
+			for !p.isSymbol(")") {
+				first := len(p.code)
+				if err := p.parseExpr(params, 0); err != nil {
 					return err
 				}
-				op.params = append(op.params, e)
-				if p.cur().kind == tokSymbol && p.cur().text == "," {
+				op.params = append(op.params, span{first, len(p.code) - first})
+				if p.isSymbol(",") {
 					p.advance()
 				}
 			}
 			p.advance() // )
 		}
-		for {
-			at, err := p.expectIdent()
-			if err != nil {
-				return err
-			}
-			op.args = append(op.args, at.text)
-			if p.cur().kind == tokSymbol && p.cur().text == "," {
-				p.advance()
-				continue
-			}
-			break
+		names, err := p.parseIdents()
+		if err != nil {
+			return err
+		}
+		op.args = make([]formal, len(names))
+		for i, a := range names {
+			op.args[i] = resolve(args, a)
 		}
 		if err := p.expectSymbol(";"); err != nil {
 			return err
@@ -473,120 +477,326 @@ func (p *parser) parseGateDef() error {
 		m.body = append(m.body, op)
 	}
 	p.advance() // }
+	if p.macros == nil {
+		p.macros = map[string]*macro{}
+	}
 	p.macros[nameTok.text] = m
 	return nil
 }
 
-// parseApplication parses a gate application statement and returns a closure
-// that appends the expanded gates.
-func (p *parser) parseApplication() (func(*circuit.Circuit) error, error) {
+// parseApplication parses a gate application statement. Its parameters
+// are evaluated here, so the statement records their values.
+func (p *parser) parseApplication() error {
 	nameTok, err := p.expectIdent()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var params []float64
-	if p.cur().kind == tokSymbol && p.cur().text == "(" {
+	params := span{first: len(p.params)}
+	if p.isSymbol("(") {
 		p.advance()
-		for p.cur().kind != tokSymbol || p.cur().text != ")" {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+		for !p.isSymbol(")") {
+			first := len(p.code)
+			if err := p.parseExpr(nil, 0); err != nil {
+				return err
 			}
-			v, err := e.eval(nil)
+			v, err := p.eval(p.code[first:], nil)
+			p.code = p.code[:first]
 			if err != nil {
-				return nil, p.errorf(nameTok, "%v", err)
+				return p.errorf(nameTok, "%v", err)
 			}
-			params = append(params, v)
-			if p.cur().kind == tokSymbol && p.cur().text == "," {
+			p.params = append(p.params, v)
+			if p.isSymbol(",") {
 				p.advance()
 			}
 		}
 		p.advance() // )
 	}
-	var operands [][]int
-	for {
-		qs, err := p.parseQubitRef()
-		if err != nil {
-			return nil, err
-		}
-		operands = append(operands, qs)
-		if p.cur().kind == tokSymbol && p.cur().text == "," {
-			p.advance()
-			continue
-		}
-		break
+	params.count = len(p.params) - params.first
+	ops, err := p.parseOperands()
+	if err != nil {
+		return err
 	}
 	if err := p.expectSymbol(";"); err != nil {
-		return nil, err
+		return err
 	}
-	name := nameTok.text
-	return func(c *circuit.Circuit) error {
-		// Broadcast whole-register operands like QASM does: all operand
-		// lists must have equal length (or length 1).
-		width := 1
-		for _, o := range operands {
-			if len(o) > width {
-				width = len(o)
-			}
-		}
-		for i := 0; i < width; i++ {
-			qubits := make([]int, len(operands))
-			for j, o := range operands {
-				if len(o) == 1 {
-					qubits[j] = o[0]
-				} else if i < len(o) {
-					qubits[j] = o[i]
-				} else {
-					return p.errorf(nameTok, "mismatched register lengths in %q application", name)
-				}
-			}
-			if err := p.applyGate(c, nameTok, name, params, qubits, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
+	p.stmts = append(p.stmts, stmt{kind: stmtGate, line: nameTok.line, name: nameTok.text, ops: ops, params: params})
+	return nil
 }
 
-const maxMacroDepth = 32
+// parseExpr compiles an angle expression, term (('+'|'-') term)*, onto
+// p.code; formals names the parameters it may refer to besides pi.
+func (p *parser) parseExpr(formals []string, depth int) error {
+	if err := p.parseTerm(formals, depth); err != nil {
+		return err
+	}
+	for p.isSymbol("+") || p.isSymbol("-") {
+		op := p.advance().text[0]
+		if err := p.parseTerm(formals, depth); err != nil {
+			return err
+		}
+		p.code = append(p.code, instr{op: op})
+	}
+	return nil
+}
 
-func (p *parser) applyGate(c *circuit.Circuit, tok token, name string, params []float64, qubits []int, depth int) error {
+func (p *parser) parseTerm(formals []string, depth int) error {
+	if err := p.parseFactor(formals, depth); err != nil {
+		return err
+	}
+	for p.isSymbol("*") || p.isSymbol("/") {
+		op := p.advance().text[0]
+		if err := p.parseFactor(formals, depth); err != nil {
+			return err
+		}
+		p.code = append(p.code, instr{op: op})
+	}
+	return nil
+}
+
+func (p *parser) parseFactor(formals []string, depth int) error {
+	t := p.cur()
+	if depth > maxExprDepth {
+		return p.errorf(t, "expression nested more than %d levels deep", maxExprDepth)
+	}
+	switch {
+	case t.kind == tokSymbol && t.text == "-":
+		p.advance()
+		if err := p.parseFactor(formals, depth+1); err != nil {
+			return err
+		}
+		p.code = append(p.code, instr{op: '~'})
+	case t.kind == tokSymbol && t.text == "+":
+		p.advance()
+		return p.parseFactor(formals, depth+1)
+	case t.kind == tokSymbol && t.text == "(":
+		p.advance()
+		if err := p.parseExpr(formals, depth+1); err != nil {
+			return err
+		}
+		return p.expectSymbol(")")
+	case t.kind == tokNumber:
+		p.advance()
+		v, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			return p.errorf(t, "bad number %q", t.text)
+		}
+		p.code = append(p.code, instr{op: 'n', num: v})
+	case t.kind == tokIdent && t.text == "pi":
+		p.advance()
+		p.code = append(p.code, instr{op: 'n', num: math.Pi})
+	case t.kind == tokIdent:
+		p.advance()
+		p.code = append(p.code, instr{op: 'v', v: resolve(formals, t.text)})
+	default:
+		return p.errorf(t, "unexpected token %s in expression", t)
+	}
+	return nil
+}
+
+// eval runs compiled expression code over the parameter values env.
+// Operations apply in the order a tree walk of the expression would apply
+// them, so the first error is the one such a walk meets.
+func (p *parser) eval(code []instr, env []float64) (float64, error) {
+	st := p.stack[:0]
+	for _, in := range code {
+		switch in.op {
+		case 'n':
+			st = append(st, in.num)
+		case 'v':
+			if in.v.index < 0 {
+				return 0, fmt.Errorf("unknown identifier %q in expression", in.v.name)
+			}
+			st = append(st, env[in.v.index])
+		case '~':
+			st[len(st)-1] = -st[len(st)-1]
+		default:
+			l, r := st[len(st)-2], st[len(st)-1]
+			st = st[:len(st)-1]
+			switch in.op {
+			case '+':
+				l += r
+			case '-':
+				l -= r
+			case '*':
+				l *= r
+			case '/':
+				if r == 0 {
+					return 0, fmt.Errorf("division by zero in expression")
+				}
+				l /= r
+			}
+			st[len(st)-1] = l
+		}
+	}
+	p.stack = st
+	return st[0], nil
+}
+
+// width is how many gates an application over ops broadcasts to.
+func width(ops []span) int {
+	w := 1
+	for _, o := range ops {
+		w = max(w, o.count)
+	}
+	return w
+}
+
+// count returns how many gates the statements expand to, after checking
+// that the expansion stays within MaxGates and MaxOperands.
+func (p *parser) count() (int, error) {
+	gates, operands := 0, 0
+	for _, s := range p.stmts {
+		ops := p.ops[s.ops.first : s.ops.first+s.ops.count]
+		var e expansion
+		switch s.kind {
+		case stmtBarrier:
+			e.gates = 1
+			for _, o := range ops {
+				e.operands += o.count
+			}
+		case stmtMeasure:
+			e.gates, e.operands = ops[0].count, ops[0].count
+		case stmtGate:
+			// An expansion that stops early stops in the first broadcast.
+			e = p.size(s.name, len(ops), 0)
+			if !e.deep {
+				e.gates *= width(ops)
+				e.operands *= width(ops)
+			}
+		}
+		gates += e.gates
+		operands += e.operands
+		if gates > MaxGates {
+			return 0, p.errorAt(s.line, "%q takes the program past %d gates", s.name, MaxGates)
+		}
+		if operands > MaxOperands {
+			return 0, p.errorAt(s.line, "%q takes the program past %d gate operands", s.name, MaxOperands)
+		}
+		if e.deep {
+			break // the expansion stops in this statement
+		}
+	}
+	return gates, nil
+}
+
+// size is count's measure of applying the named gate to nargs qubits at
+// the given nesting depth. It follows expand, and memoizes definitions by
+// depth, so a definition costs one pass over its body per depth however
+// many times it is applied.
+func (p *parser) size(name string, nargs, depth int) expansion {
 	if depth > maxMacroDepth {
-		return p.errorf(tok, "gate %q expansion too deep (recursive definition?)", name)
+		return expansion{deep: true}
+	}
+	m, ok := p.macros[name]
+	if !ok {
+		if name == "id" {
+			return expansion{}
+		}
+		return expansion{gates: 1, operands: nargs}
+	}
+	if m.sizes[depth].known {
+		return m.sizes[depth]
+	}
+	var e expansion
+	for _, op := range m.body {
+		o := p.size(op.name, len(op.args), depth+1)
+		e.gates = min(e.gates+o.gates, MaxGates+1)
+		e.operands = min(e.operands+o.operands, MaxOperands+1)
+		if o.deep {
+			e.deep = true
+			break
+		}
+	}
+	e.known = true
+	m.sizes[depth] = e
+	return e
+}
+
+// build expands the statements into a circuit with room for its gates.
+func (p *parser) build(gates int) (*circuit.Circuit, error) {
+	c := circuit.New(p.name, p.qsize)
+	c.Gates = make([]circuit.Gate, 0, gates)
+	for _, s := range p.stmts {
+		ops := p.ops[s.ops.first : s.ops.first+s.ops.count]
+		switch s.kind {
+		case stmtBarrier:
+			qs := p.qubits[:0]
+			for _, o := range ops {
+				for q := o.first; q < o.first+o.count; q++ {
+					qs = append(qs, q)
+				}
+			}
+			p.qubits = qs
+			if err := c.AddCopy(s.name, qs, nil); err != nil {
+				return nil, p.errorAt(s.line, "%v", err)
+			}
+		case stmtMeasure:
+			qs, cs := ops[0], ops[1]
+			for i := range qs.count {
+				q := [1]int{qs.first + i}
+				if err := c.CopyGate(circuit.Gate{Name: s.name, Qubits: q[:], Cbit: cs.first + i}); err != nil {
+					return nil, p.errorAt(s.line, "%v", err)
+				}
+			}
+		case stmtGate:
+			// Broadcast whole-register operands like QASM does: all
+			// operand registers must have equal length (or length 1).
+			params := p.params[s.params.first : s.params.first+s.params.count]
+			for i := range width(ops) {
+				qs := p.qubits[:0]
+				for _, o := range ops {
+					switch {
+					case o.count == 1:
+						qs = append(qs, o.first)
+					case i < o.count:
+						qs = append(qs, o.first+i)
+					default:
+						return nil, p.errorAt(s.line, "mismatched register lengths in %q application", s.name)
+					}
+				}
+				p.qubits = qs
+				if err := p.expand(c, s.line, s.name, params, qs, 0); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return c, nil
+}
+
+// expand appends the gates that applying name to qubits with params makes,
+// expanding gate definitions; depth is the definition nesting so far. The
+// arguments of nested applications are pushed onto p.qubits and p.vals
+// above the caller's and popped on return.
+func (p *parser) expand(c *circuit.Circuit, line int, name string, params []float64, qubits []int, depth int) error {
+	if depth > maxMacroDepth {
+		return p.errorAt(line, "gate %q expansion too deep (recursive definition?)", name)
 	}
 	if m, ok := p.macros[name]; ok {
-		if len(qubits) != len(m.args) {
-			return p.errorf(tok, "gate %q expects %d qubits, got %d", name, len(m.args), len(qubits))
+		if len(qubits) != m.nargs {
+			return p.errorAt(line, "gate %q expects %d qubits, got %d", name, m.nargs, len(qubits))
 		}
-		if len(params) != len(m.params) {
-			return p.errorf(tok, "gate %q expects %d parameters, got %d", name, len(m.params), len(params))
-		}
-		env := make(map[string]float64, len(m.params))
-		for i, pn := range m.params {
-			env[pn] = params[i]
-		}
-		qenv := make(map[string]int, len(m.args))
-		for i, an := range m.args {
-			qenv[an] = qubits[i]
+		if len(params) != m.nparams {
+			return p.errorAt(line, "gate %q expects %d parameters, got %d", name, m.nparams, len(params))
 		}
 		for _, op := range m.body {
-			vals := make([]float64, len(op.params))
-			for i, e := range op.params {
-				v, err := e.eval(env)
+			nv, nq := len(p.vals), len(p.qubits)
+			for _, e := range op.params {
+				v, err := p.eval(p.code[e.first:e.first+e.count], params)
 				if err != nil {
-					return p.errorf(tok, "in gate %q: %v", name, err)
+					return p.errorAt(line, "in gate %q: %v", name, err)
 				}
-				vals[i] = v
+				p.vals = append(p.vals, v)
 			}
-			qs := make([]int, len(op.args))
-			for i, a := range op.args {
-				q, ok := qenv[a]
-				if !ok {
-					return p.errorf(tok, "in gate %q: unknown qubit argument %q", name, a)
+			for _, a := range op.args {
+				if a.index < 0 {
+					return p.errorAt(line, "in gate %q: unknown qubit argument %q", name, a.name)
 				}
-				qs[i] = q
+				p.qubits = append(p.qubits, qubits[a.index])
 			}
-			if err := p.applyGate(c, tok, op.name, vals, qs, depth+1); err != nil {
+			err := p.expand(c, line, op.name, p.vals[nv:], p.qubits[nq:], depth+1)
+			p.vals, p.qubits = p.vals[:nv], p.qubits[:nq]
+			if err != nil {
 				return err
 			}
 		}
@@ -606,82 +816,10 @@ func (p *parser) applyGate(c *circuit.Circuit, tok token, name string, params []
 	case "id":
 		return nil
 	}
-	g := circuit.Gate{Name: name, Qubits: qubits, Params: params}
-	if err := c.Append(g); err != nil {
-		return p.errorf(tok, "%v", err)
+	if err := c.AddCopy(name, qubits, params); err != nil {
+		return p.errorAt(line, "%v", err)
 	}
 	return nil
-}
-
-// parseExpr parses an angle expression: term (('+'|'-') term)*.
-func (p *parser) parseExpr() (expr, error) {
-	l, err := p.parseTerm()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokSymbol && (p.cur().text == "+" || p.cur().text == "-") {
-		op := p.advance().text[0]
-		r, err := p.parseTerm()
-		if err != nil {
-			return nil, err
-		}
-		l = binExpr{op: op, l: l, r: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseTerm() (expr, error) {
-	l, err := p.parseFactor()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokSymbol && (p.cur().text == "*" || p.cur().text == "/") {
-		op := p.advance().text[0]
-		r, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		l = binExpr{op: op, l: l, r: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseFactor() (expr, error) {
-	t := p.cur()
-	switch {
-	case t.kind == tokSymbol && t.text == "-":
-		p.advance()
-		x, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		return unaryExpr{op: '-', x: x}, nil
-	case t.kind == tokSymbol && t.text == "+":
-		p.advance()
-		return p.parseFactor()
-	case t.kind == tokSymbol && t.text == "(":
-		p.advance()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tokNumber:
-		p.advance()
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, p.errorf(t, "bad number %q", t.text)
-		}
-		return numExpr(v), nil
-	case t.kind == tokIdent:
-		p.advance()
-		return varExpr(t.text), nil
-	default:
-		return nil, p.errorf(t, "unexpected token %s in expression", t)
-	}
 }
 
 // stripExt trims a trailing extension from a name; helper for callers naming

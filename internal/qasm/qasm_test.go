@@ -580,3 +580,40 @@ func TestStripExt(t *testing.T) {
 		t.Fatal("stripExt wrong")
 	}
 }
+
+// The lexer runs only as far as the parser reads, so of several errors the
+// first in source order is reported, whether lexical or not; expansion
+// errors come after every error in the source.
+func TestErrorOrder(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"qreg q[2]\nh q[0];\n@", `qasm "order": line 2: expected ";", found "h"`},
+		{"qreg q[2];\n@ q[0]\nh q[0]", `qasm: line 2: unexpected character '@'`},
+		{"qreg q[1];\nrz(1/0) q[0];\n\"", `qasm "order": line 2: division by zero in expression`},
+		{"qreg q[1];\nrz(1/0 @) q[0];", `qasm "order": line 2: division by zero in expression`},
+		{"qreg q[2];\ncx q[1],q[1];\nh q[5];", `qasm "order": line 3: qubit index "5" out of range for q[2]`},
+		{"qreg q[2];\ngate g a { g a; }\ng q[0];\ncx q[1],q[1];", `qasm "order": line 3: gate "g" expansion too deep (recursive definition?)`},
+	}
+	for _, tc := range cases {
+		_, err := Parse("order", tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %s", tc.src, err, tc.want)
+		}
+	}
+}
+
+// Angle expressions may nest maxExprDepth levels, which bounds the parser's
+// recursion however deep the input nests.
+func TestExpressionDepth(t *testing.T) {
+	nest := func(open, close string, n int) string {
+		return "qreg q[1];\nrz(" + strings.Repeat(open, n) + "1" + strings.Repeat(close, n) + ") q[0];"
+	}
+	if _, err := Parse("deep", nest("(", ")", maxExprDepth)); err != nil {
+		t.Errorf("%d nested parentheses: %v", maxExprDepth, err)
+	}
+	want := `qasm "deep": line 2: expression nested more than 64 levels deep`
+	for _, src := range []string{nest("(", ")", maxExprDepth+1), nest("-", "", 1<<20), nest("(", "", 1<<20)} {
+		if _, err := Parse("deep", src); err == nil || err.Error() != want {
+			t.Errorf("%.20q...: error %v, want %s", src, err, want)
+		}
+	}
+}

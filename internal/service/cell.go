@@ -181,35 +181,23 @@ func (m *Manager) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Wait for the job to reach a terminal state. Subscribe's live channel
-	// closes exactly then (dropped interim events don't matter here); a
-	// client that disconnects first takes its cell with it — the job is
-	// canceled so the worker slot frees up for cells that still have a
-	// coordinator waiting.
-	_, live, stop, err := m.Subscribe(view.ID)
+	// Wait for the job to reach a terminal state; a client that
+	// disconnects first takes its cell with it — the job is canceled so
+	// the worker slot frees up for cells that still have a coordinator
+	// waiting.
+	j, err := m.lookup(view.ID)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
-	defer stop()
-waitLoop:
-	for {
-		select {
-		case <-r.Context().Done():
-			m.Cancel(view.ID) //nolint:errcheck // best-effort: the client is gone
-			return
-		case _, ok := <-live:
-			if !ok {
-				break waitLoop
-			}
-		}
+	select {
+	case <-r.Context().Done():
+		m.Cancel(view.ID) //nolint:errcheck // best-effort: the client is gone
+		return
+	case <-j.ended:
 	}
 
-	final, err := m.Get(view.ID)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err)
-		return
-	}
+	final := m.view(j)
 	switch {
 	case final.State == StateDone && final.Cell != nil:
 		writeJSON(w, http.StatusOK, final.Cell)

@@ -236,6 +236,12 @@ func TestCancelMidRun(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	_, srv := newTestServer(t, service.Config{Workers: 1})
+	// 21 nested two-call definitions expand one application to 2^21 gates.
+	nested := "OPENQASM 2.0;\nqreg q[1];\ngate g0 a { h a; }\n"
+	for i := 1; i <= 21; i++ {
+		nested += fmt.Sprintf("gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	nested += "g21 q[0];\n"
 	cases := []struct {
 		name string
 		body string
@@ -246,6 +252,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"no source", `{}`, "bad_request"},
 		{"both sources", fmt.Sprintf(`{"qasm": %q, "random": {}}`, testQASM), "bad_request"},
 		{"bad qasm", `{"qasm": "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[9];\n"}`, "bad_qasm"},
+		{"qasm over the qubit limit", `{"qasm": "OPENQASM 2.0; qreg q[65537]; h q;"}`, "bad_qasm"},
+		{"qasm over the gate limit", fmt.Sprintf(`{"qasm": %q}`, nested), "bad_qasm"},
 		{"bad json", `{"qasm": 12`, "bad_json"},
 		{"unknown field", `{"qsam": "typo"}`, "bad_json"},
 		{"negative limit", `{"random": {"limit": -1}}`, "bad_request"},
@@ -398,5 +406,28 @@ func TestCacheHitEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("cached run streamed different results:\nfirst:  %s\nsecond: %s", first, second)
+	}
+}
+
+// A finished job's subscription replays its history over a closed,
+// unbuffered channel: no event buffer is made for a job with nothing left
+// to say.
+func TestSubscribeFinishedJob(t *testing.T) {
+	mgr, srv := newTestServer(t, service.Config{Workers: 1})
+	view := submit(t, srv, service.Request{QASM: testQASM})
+	waitDone(t, mgr, view.ID, 30*time.Second)
+	history, live, stop, err := mgr.Subscribe(view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if len(history) == 0 || !history[len(history)-1].State.Terminal() {
+		t.Fatalf("history %v does not end in a terminal state", history)
+	}
+	if cap(live) != 0 {
+		t.Errorf("live channel buffers %d events, want 0", cap(live))
+	}
+	if _, ok := <-live; ok {
+		t.Error("live channel is open")
 	}
 }

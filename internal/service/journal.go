@@ -168,6 +168,7 @@ func (m *Manager) recoverJobs() []*job {
 		m.jobs[j.id] = j
 		m.recovered++
 		if j.state.Terminal() {
+			close(j.ended)
 			m.terminal = append(m.terminal, j.id)
 			continue
 		}
@@ -190,6 +191,7 @@ func (m *Manager) recoverJob(js *store.JobState) (j *job, runnable bool, err err
 		state:   State(js.State),
 		created: js.Time,
 		subs:    make(map[chan Event]struct{}),
+		ended:   make(chan struct{}),
 	}
 	var sub storedSubmit
 	if len(js.Submit) > 0 {

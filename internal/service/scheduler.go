@@ -26,6 +26,7 @@ func newJob() *job {
 		state:   StatePending,
 		created: time.Now(),
 		subs:    make(map[chan Event]struct{}),
+		ended:   make(chan struct{}),
 	}
 }
 
@@ -167,8 +168,9 @@ func (m *Manager) Cancel(id string) (JobView, error) {
 }
 
 // Subscribe returns the job's event history so far plus a live channel for
-// what follows; the channel is closed (possibly immediately) once the job
-// is terminal. Call the returned stop function when done listening.
+// what follows; the channel is closed once the job is terminal. A live job
+// gets a 4096-event buffer; a finished one, a closed unbuffered channel.
+// Call the returned stop function when done listening.
 func (m *Manager) Subscribe(id string) (history []Event, live <-chan Event, stopFn func(), err error) {
 	j, err := m.lookup(id)
 	if err != nil {
@@ -177,11 +179,12 @@ func (m *Manager) Subscribe(id string) (history []Event, live <-chan Event, stop
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	history = append([]Event(nil), j.events...)
-	ch := make(chan Event, 4096)
 	if j.state.Terminal() {
+		ch := make(chan Event)
 		close(ch)
 		return history, ch, func() {}, nil
 	}
+	ch := make(chan Event, 4096)
 	j.subs[ch] = struct{}{}
 	stopFn = func() {
 		j.mu.Lock()

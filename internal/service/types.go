@@ -172,6 +172,7 @@ type job struct {
 	cell         *sweep.CellReport        // guarded by mu; cell jobs: the single cell's report
 	events       []Event                  // guarded by mu
 	subs         map[chan Event]struct{}  // guarded by mu
+	ended        chan struct{}            // closed when the job turns terminal
 	cancel       context.CancelFunc       // guarded by mu
 	userCanceled bool                     // guarded by mu; set by Cancel: distinguishes a client's cancel (journaled,
 	// never resurrected) from shutdown cancellation (not journaled, so the
@@ -179,9 +180,10 @@ type job struct {
 }
 
 // emit assigns a sequence number, records the event for replay, and
-// broadcasts it. Terminal state events close every subscriber. Slow
-// subscribers (a full 4096-event buffer) drop events rather than wedge the
-// worker; the replayed history on reconnect is always complete.
+// broadcasts it. Terminal state events close every subscriber and the
+// job's ended channel. Slow subscribers (a full 4096-event buffer) drop
+// events rather than wedge the worker; the replayed history on reconnect
+// is always complete.
 func (j *job) emit(ev Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -207,5 +209,6 @@ func (j *job) emitLocked(ev Event) {
 			close(ch)
 			delete(j.subs, ch)
 		}
+		close(j.ended)
 	}
 }

@@ -129,7 +129,9 @@ type OptimizerOptions = core.Options
 // NewCircuit returns an empty circuit over n qubits.
 func NewCircuit(name string, n int) *Circuit { return circuit.New(name, n) }
 
-// ParseQASM parses OpenQASM 2.0 source into a circuit.
+// ParseQASM parses OpenQASM 2.0 source into a circuit. It rejects a
+// program whose registers total more than 65,536 qubits or whose gate
+// applications expand to more than 2^20 gates.
 func ParseQASM(name, src string) (*Circuit, error) { return qasm.Parse(name, src) }
 
 // ParseQASMFile parses an OpenQASM 2.0 file.
