@@ -15,10 +15,11 @@ var fuzzSeeds = []string{
 }
 
 // FuzzQASM exercises the parser on arbitrary input (it must reject or
-// accept, never panic) and, for accepted programs, pins the round-trip
-// property: writing the parsed circuit and re-parsing it reproduces the
-// same register size and gate stream — names, operands, parameters, and
-// measurement wiring included.
+// accept, never panic) and, for accepted programs, pins that the limits
+// counted exactly what was built, and the round-trip property: writing the
+// parsed circuit and re-parsing it reproduces the same register size and
+// gate stream — names, operands, parameters, and measurement wiring
+// included.
 func FuzzQASM(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -28,6 +29,7 @@ func FuzzQASM(f *testing.F) {
 		if err != nil {
 			return // rejected input is fine; panics are the finding
 		}
+		checkMeasure(t, src, c)
 		out, err := WriteString(c)
 		if err != nil {
 			t.Fatalf("parsed circuit failed to serialize: %v", err)

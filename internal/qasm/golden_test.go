@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"muzzle/internal/bench"
 	"muzzle/internal/circuit"
 )
 
@@ -79,27 +78,13 @@ var edgeInputs = []struct{ name, src string }{
 }
 
 // goldenCases returns the corpus as (name, source) pairs, in golden-file
-// order: the FuzzQASM seeds, the Table II programs and the first 10
-// paper-suite circuits as written by WriteString, the accepted edge cases,
-// and one input per error message.
-func goldenCases(t *testing.T) [][2]string {
-	t.Helper()
+// order: the FuzzQASM seeds, the accepted edge cases, and one input per
+// error message. The Table II programs and paper-suite circuits are pinned
+// by TestWriteParseCompileOracle instead.
+func goldenCases() [][2]string {
 	var cases [][2]string
 	for i, s := range fuzzSeeds {
 		cases = append(cases, [2]string{fmt.Sprintf("seed-%d", i), s})
-	}
-	write := func(name string, c *circuit.Circuit) {
-		src, err := WriteString(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cases = append(cases, [2]string{name, src})
-	}
-	for _, spec := range bench.Catalog() {
-		write("table2-"+spec.Name, spec.Build())
-	}
-	for i, c := range bench.RandomSuite(bench.DefaultRandomSuiteParams())[:10] {
-		write(fmt.Sprintf("suite-%d", i), c)
 	}
 	for _, in := range edgeInputs {
 		cases = append(cases, [2]string{"edge-" + in.name, in.src})
@@ -153,7 +138,7 @@ func describeParse(name, src string) string {
 // text, against testdata/corpus.golden. Rewrite it only with
 // go test ./internal/qasm -update.
 func TestParseGoldenCorpus(t *testing.T) {
-	cases := goldenCases(t)
+	cases := goldenCases()
 	var file strings.Builder
 	got := make(map[string]string, len(cases))
 	for _, tc := range cases {

@@ -17,7 +17,11 @@
 //   - the registers of each kind may hold MaxQubits qubits (or classical
 //     bits) together;
 //   - the gate applications may expand, through broadcasts and gate
-//     definitions, to MaxGates gates holding MaxOperands qubit operands;
+//     definitions, to MaxGates gates holding MaxOperands qubit operands
+//     and MaxParams angle parameters;
+//   - expanding them may take maxSteps steps, one per gate applied
+//     (defined or built in) and per instruction of the angle expressions
+//     evaluated;
 //   - gate definitions may nest maxMacroDepth levels deep, and angle
 //     expressions maxExprDepth levels.
 //
@@ -30,7 +34,8 @@
 //     evaluate, and a register that takes its kind past MaxQubits;
 //  2. a program that declares no quantum register;
 //  3. the first statement, in program order, that takes the expansion past
-//     MaxGates or MaxOperands;
+//     a limit: MaxGates, MaxOperands, MaxParams or maxSteps, checked in
+//     that order;
 //  4. the first error met while expanding the statements into gates, in
 //     program order: a gate definition applied with the wrong number of
 //     qubits or parameters or nested too deep, a body that does not
@@ -56,7 +61,7 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokSymbol // single punctuation: ; , ( ) [ ] { } + - * / =
+	tokSymbol // one punctuation character
 	tokArrow  // ->
 	tokError  // a lexical error; text holds its message
 )

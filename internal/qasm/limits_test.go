@@ -2,11 +2,13 @@ package qasm
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
 	"muzzle/internal/bench"
+	"muzzle/internal/circuit"
 )
 
 // raceEnabled is set under the race detector, whose instrumentation
@@ -23,10 +25,11 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // nestedDoubling returns a program whose one application expands, through
-// levels nested two-call gate definitions, to 2^levels gates.
-func nestedDoubling(levels int) string {
+// levels nested two-call gate definitions, to 2^levels copies of the body
+// of g0.
+func nestedDoubling(levels int, body string) string {
 	var b strings.Builder
-	b.WriteString("OPENQASM 2.0;\nqreg q[1];\ngate g0 a { h a; }\n")
+	fmt.Fprintf(&b, "OPENQASM 2.0;\nqreg q[1];\ngate g0 a { %s }\n", body)
 	for i := 1; i <= levels; i++ {
 		fmt.Fprintf(&b, "gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
 	}
@@ -38,6 +41,13 @@ func nestedDoubling(levels int) string {
 // rejection costs little however much the program asks for.
 func TestExpansionLimits(t *testing.T) {
 	barriers := "OPENQASM 2.0;\nqreg q[65536];\n" + strings.Repeat("barrier q;\n", 65)
+	// 65 parameters on each of 65,536 gates.
+	wideParams := "OPENQASM 2.0;\nqreg q[65536];\nfoo(0" + strings.Repeat(",0", 64) + ") q;\n"
+	// Applications of empty definitions: 2^23 - 1, then 3 more.
+	empty := nestedDoubling(22, "") + "g1 q[0];\n"
+	// 65,536 applications of g, each 129 steps: g, the 127 instructions of
+	// t+t+...+t, and rz.
+	longExpr := "OPENQASM 2.0;\nqreg q[65536];\ngate g(t) a { rz(t" + strings.Repeat("+t", 63) + ") a; }\ng(1) q;\n"
 	cases := []struct {
 		name, src, want string
 	}{
@@ -47,10 +57,19 @@ func TestExpansionLimits(t *testing.T) {
 			`qasm "two registers": line 3: register "b" takes the program past 65536 qubits`},
 		{"classical bits", "OPENQASM 2.0;\nqreg q[1];\ncreg c[65537];\n",
 			`qasm "classical bits": line 3: register "c" takes the program past 65536 classical bits`},
-		{"nested definitions", nestedDoubling(20) + "h q[0];\n",
+		{"nested definitions", nestedDoubling(20, "h a;") + "h q[0];\n",
 			`qasm "nested definitions": line 25: "h" takes the program past 1048576 gates`},
 		{"barrier operands", barriers,
 			`qasm "barrier operands": line 67: "barrier" takes the program past 4194304 gate operands`},
+		{"wide parameters", wideParams,
+			`qasm "wide parameters": line 3: "foo" takes the program past 4194304 gate parameters`},
+		// 5 parameters on each of 2^20 gates.
+		{"nested parameters", nestedDoubling(20, "foo(0,0,0,0,0) a;"),
+			`qasm "nested parameters": line 24: "g20" takes the program past 4194304 gate parameters`},
+		{"empty definitions", empty,
+			`qasm "empty definitions": line 27: "g1" takes the program past 8388608 expansion steps`},
+		{"long expression", longExpr,
+			`qasm "long expression": line 4: "g" takes the program past 8388608 expansion steps`},
 	}
 	for _, tc := range cases {
 		var err error
@@ -64,19 +83,168 @@ func TestExpansionLimits(t *testing.T) {
 	}
 }
 
-// A program exactly at every limit passes the checks. The gate count is
-// checked without building the million gates.
+// A program exactly at every limit passes the checks. The expansions are
+// counted without building them.
 func TestExpansionAtLimits(t *testing.T) {
-	p := &parser{lex: lexer{src: nestedDoubling(20), line: 1}, regs: map[string]regInfo{}}
-	if err := p.parseProgram(); err != nil {
-		t.Fatal(err)
-	}
-	if gates, err := p.count(); err != nil || gates != 1<<20 {
-		t.Errorf("count = %d, %v; want %d gates", gates, err, 1<<20)
+	for _, tc := range []struct {
+		src   string
+		gates int
+	}{
+		{nestedDoubling(20, "h a;"), 1 << 20},            // MaxGates
+		{nestedDoubling(20, "foo(0,0,0,0) a;"), 1 << 20}, // MaxParams
+		{nestedDoubling(22, "") + "g0 q[0];\n", 0},       // maxSteps
+	} {
+		if e, err := measure(tc.src); err != nil || e.gates != tc.gates {
+			t.Errorf("count = %d gates, %v; want %d gates", e.gates, err, tc.gates)
+		}
 	}
 	src := "OPENQASM 2.0;\nqreg a[65535];\nqreg b[1];\ncreg c[65536];\n" + strings.Repeat("barrier a,b;\n", 64)
 	if _, err := Parse("at", src); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// measure parses src and returns count's measure of what it expands to.
+func measure(src string) (expansion, error) {
+	p := &parser{lex: lexer{src: src, line: 1}, regs: map[string]regInfo{}}
+	if err := p.parseProgram(); err != nil {
+		return expansion{}, err
+	}
+	return p.count()
+}
+
+// checkMeasure fails t unless count measured exactly the gates, operands
+// and parameters of c, the circuit Parse built from src.
+func checkMeasure(t *testing.T, src string, c *circuit.Circuit) {
+	t.Helper()
+	e, err := measure(src)
+	if err != nil {
+		t.Fatalf("Parse accepted what count rejects: %v", err)
+	}
+	operands, params := 0, 0
+	for _, g := range c.Gates {
+		operands += len(g.Qubits)
+		params += len(g.Params)
+	}
+	if e.gates != len(c.Gates) || e.operands != operands || e.params != params {
+		t.Fatalf("count measured %d gates, %d operands, %d parameters; Parse built %d, %d, %d\n%s",
+			e.gates, e.operands, e.params, len(c.Gates), operands, params, src)
+	}
+}
+
+// randomProgram returns a program whose gate definitions call built-in
+// gates and earlier definitions, nested, broadcast, empty and
+// parameterized, sometimes calling themselves or later definitions.
+func randomProgram(rng *rand.Rand) string {
+	var b strings.Builder
+	n := 2 + rng.Intn(4)
+	fmt.Fprintf(&b, "OPENQASM 2.0;\nqreg q[%d];\nqreg r[%d];\ncreg c[%d];\n", n, n, n)
+	list := func(prefix string, k int) string {
+		var s []string
+		for i := range k {
+			s = append(s, fmt.Sprintf("%s%d", prefix, i))
+		}
+		return strings.Join(s, ",")
+	}
+	// call returns an application of a built-in gate or of definition
+	// g0..g(defs-1) to qubit names from args, with parameters from params.
+	type def struct{ nparams, nargs int }
+	var defs []def
+	call := func(args []string, params []string, limit int) string {
+		pick := func() string { return args[rng.Intn(len(args))] }
+		param := func() string {
+			if len(params) > 0 && rng.Intn(2) == 0 {
+				return params[rng.Intn(len(params))] + "*2"
+			}
+			return "pi/4"
+		}
+		if limit > 0 && rng.Intn(2) == 0 {
+			g := rng.Intn(limit)
+			d := defs[g]
+			if d.nargs > len(args) {
+				return "h " + pick() + ";"
+			}
+			var ps []string
+			for range d.nparams {
+				ps = append(ps, param())
+			}
+			perm := rng.Perm(len(args))[:d.nargs]
+			var as []string
+			for _, i := range perm {
+				as = append(as, args[i])
+			}
+			return fmt.Sprintf("g%d(%s) %s;", g, strings.Join(ps, ","), strings.Join(as, ","))
+		}
+		switch rng.Intn(6) {
+		case 0:
+			return "rz(" + param() + ") " + pick() + ";"
+		case 1:
+			return "u2(" + param() + "," + param() + ") " + pick() + ";"
+		case 2:
+			return "id " + pick() + ";"
+		case 3:
+			if len(args) > 1 {
+				perm := rng.Perm(len(args))
+				return "cx " + args[perm[0]] + "," + args[perm[1]] + ";"
+			}
+			return "u2(" + param() + ") " + pick() + ";"
+		case 4:
+			return "barrier " + strings.Join(args, ",") + ";"
+		default:
+			return "foo(" + param() + "," + param() + "," + param() + ") " + pick() + ";"
+		}
+	}
+	for g := range 1 + rng.Intn(6) {
+		d := def{rng.Intn(3), 1 + rng.Intn(3)}
+		var params, args []string
+		for i := range d.nparams {
+			params = append(params, fmt.Sprintf("p%d", i))
+		}
+		for i := range d.nargs {
+			args = append(args, fmt.Sprintf("a%d", i))
+		}
+		// Defining g before its body lets the body call g itself, and
+		// sometimes a later definition.
+		defs = append(defs, d)
+		limit := g
+		if rng.Intn(10) == 0 {
+			limit = g + 1
+		}
+		fmt.Fprintf(&b, "gate g%d", g)
+		if d.nparams > 0 {
+			fmt.Fprintf(&b, "(%s)", list("p", d.nparams))
+		}
+		fmt.Fprintf(&b, " %s {", list("a", d.nargs))
+		for range rng.Intn(4) {
+			b.WriteString(" " + call(args, params, limit))
+		}
+		b.WriteString(" }\n")
+	}
+	regs := []string{"q", "r", "q[0]", "r[1]", "q[1]"}
+	for range 1 + rng.Intn(8) {
+		b.WriteString(call(regs, nil, len(defs)) + "\n")
+	}
+	if rng.Intn(3) == 0 {
+		b.WriteString("measure q -> c;\n")
+	}
+	return b.String()
+}
+
+// count measures exactly what build makes of every accepted program.
+func TestCountMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	accepted := 0
+	for range 2000 {
+		src := randomProgram(rng)
+		c, err := Parse("random", src)
+		if err != nil {
+			continue
+		}
+		accepted++
+		checkMeasure(t, src, c)
+	}
+	if accepted < 500 {
+		t.Errorf("only %d of 2000 random programs parsed", accepted)
 	}
 }
 

@@ -26,11 +26,23 @@ const (
 	// so without it a program of MaxGates wide barriers would still hold
 	// billions of operands.
 	MaxOperands = 4 * MaxGates
+	// MaxParams caps the angle parameters of those gates together, four
+	// per gate on average. Every gate holds its own copy of its
+	// parameters, so without it one application of a gate with thousands
+	// of parameters to a wide register would hold gigabytes.
+	MaxParams = 4 * MaxGates
 )
 
 const (
 	// maxMacroDepth is how deep gate definitions may nest when applied.
 	maxMacroDepth = 32
+	// maxSteps caps the work of expanding the applications: one step per
+	// gate applied, defined or built in, and per instruction of the angle
+	// expressions evaluated. Definitions with empty bodies or long
+	// expressions take work without adding gates, so without it 32 nested
+	// definitions of three calls each would take 3^32 steps to expand into
+	// no gates at all.
+	maxSteps = 8 * MaxGates
 	// maxExprDepth is how deep parentheses and signs may nest in an angle
 	// expression, which bounds the recursive descent's stack.
 	maxExprDepth = 64
@@ -63,11 +75,11 @@ func Parse(name, src string) (*circuit.Circuit, error) {
 	if p.qsize == 0 {
 		return nil, fmt.Errorf("qasm %q: no qreg declared", name)
 	}
-	gates, err := p.count()
+	total, err := p.count()
 	if err != nil {
 		return nil, err
 	}
-	return p.build(gates)
+	return p.build(total.gates)
 }
 
 type regInfo struct {
@@ -103,9 +115,7 @@ type macro struct {
 	nparams int // formal angle parameters
 	nargs   int // formal qubit arguments
 	body    []macroOp
-	// sizes memoizes count's size of one application of the definition at
-	// each nesting depth.
-	sizes [maxMacroDepth + 1]expansion
+	size    *sized // set by count when it first measures an application
 }
 
 type macroOp struct {
@@ -138,12 +148,27 @@ type instr struct {
 	v   formal  // 'v'
 }
 
-// expansion is what applying a gate emits: its gates and their qubit
-// operands, each capped just past its limit, and whether the expansion
-// stops early on a definition nested too deep.
+// expansion is what applying a gate costs: the gates it emits, their qubit
+// operands and parameters, and the steps expanding it takes, each capped
+// just past its limit; and whether the expansion stops early on a
+// definition nested too deep.
 type expansion struct {
-	gates, operands int
-	deep, known     bool
+	gates, operands, params, steps int
+	deep                           bool
+}
+
+func (e *expansion) add(o expansion) {
+	e.gates = min(e.gates+o.gates, MaxGates+1)
+	e.operands = min(e.operands+o.operands, MaxOperands+1)
+	e.params = min(e.params+o.params, MaxParams+1)
+	e.steps = min(e.steps+o.steps, maxSteps+1)
+}
+
+// sized is what one application of a definition costs, and how many levels
+// of definitions nest below it.
+type sized struct {
+	expansion
+	height int
 }
 
 type parser struct {
@@ -641,10 +666,10 @@ func width(ops []span) int {
 	return w
 }
 
-// count returns how many gates the statements expand to, after checking
-// that the expansion stays within MaxGates and MaxOperands.
-func (p *parser) count() (int, error) {
-	gates, operands := 0, 0
+// count returns what the statements expand to, after checking that the
+// expansion stays within the limits.
+func (p *parser) count() (expansion, error) {
+	var total expansion
 	for _, s := range p.stmts {
 		ops := p.ops[s.ops.first : s.ops.first+s.ops.count]
 		var e expansion
@@ -658,58 +683,76 @@ func (p *parser) count() (int, error) {
 			e.gates, e.operands = ops[0].count, ops[0].count
 		case stmtGate:
 			// An expansion that stops early stops in the first broadcast.
-			e = p.size(s.name, len(ops), 0)
+			e, _ = p.size(s.name, len(ops), s.params.count, 0)
 			if !e.deep {
-				e.gates *= width(ops)
-				e.operands *= width(ops)
+				w := width(ops)
+				e.gates *= w
+				e.operands *= w
+				e.params *= w
+				e.steps *= w
 			}
 		}
-		gates += e.gates
-		operands += e.operands
-		if gates > MaxGates {
-			return 0, p.errorAt(s.line, "%q takes the program past %d gates", s.name, MaxGates)
-		}
-		if operands > MaxOperands {
-			return 0, p.errorAt(s.line, "%q takes the program past %d gate operands", s.name, MaxOperands)
+		total.gates += e.gates
+		total.operands += e.operands
+		total.params += e.params
+		total.steps += e.steps
+		switch {
+		case total.gates > MaxGates:
+			return expansion{}, p.errorAt(s.line, "%q takes the program past %d gates", s.name, MaxGates)
+		case total.operands > MaxOperands:
+			return expansion{}, p.errorAt(s.line, "%q takes the program past %d gate operands", s.name, MaxOperands)
+		case total.params > MaxParams:
+			return expansion{}, p.errorAt(s.line, "%q takes the program past %d gate parameters", s.name, MaxParams)
+		case total.steps > maxSteps:
+			return expansion{}, p.errorAt(s.line, "%q takes the program past %d expansion steps", s.name, maxSteps)
 		}
 		if e.deep {
 			break // the expansion stops in this statement
 		}
 	}
-	return gates, nil
+	return total, nil
 }
 
-// size is count's measure of applying the named gate to nargs qubits at
-// the given nesting depth. It follows expand, and memoizes definitions by
-// depth, so a definition costs one pass over its body per depth however
-// many times it is applied.
-func (p *parser) size(name string, nargs, depth int) expansion {
+// size is count's measure of applying the named gate to nargs qubits with
+// nparams parameters at the given nesting depth, and the number of levels
+// of definitions that nest below it. It follows expand. An application
+// costs the same at every depth it fits in, so each definition is measured
+// once; only an application that nests too deep, which ends the count, is
+// measured again.
+func (p *parser) size(name string, nargs, nparams, depth int) (expansion, int) {
 	if depth > maxMacroDepth {
-		return expansion{deep: true}
+		return expansion{deep: true}, 0
 	}
 	m, ok := p.macros[name]
 	if !ok {
-		if name == "id" {
-			return expansion{}
+		switch name {
+		case "id":
+			return expansion{steps: 1}, 0
+		case "u2":
+			if nparams == 2 {
+				nparams = 3 // expand supplies the first angle
+			}
 		}
-		return expansion{gates: 1, operands: nargs}
+		return expansion{gates: 1, operands: nargs, params: nparams, steps: 1}, 0
 	}
-	if m.sizes[depth].known {
-		return m.sizes[depth]
+	if m.size != nil && depth+m.size.height <= maxMacroDepth {
+		return m.size.expansion, m.size.height
 	}
-	var e expansion
+	e, height := expansion{steps: 1}, 0
 	for _, op := range m.body {
-		o := p.size(op.name, len(op.args), depth+1)
-		e.gates = min(e.gates+o.gates, MaxGates+1)
-		e.operands = min(e.operands+o.operands, MaxOperands+1)
+		o, h := p.size(op.name, len(op.args), len(op.params), depth+1)
+		for _, code := range op.params {
+			o.steps += code.count
+		}
+		e.add(o)
 		if o.deep {
 			e.deep = true
-			break
+			return e, 0
 		}
+		height = max(height, h+1)
 	}
-	e.known = true
-	m.sizes[depth] = e
-	return e
+	m.size = &sized{e, height}
+	return e, height
 }
 
 // build expands the statements into a circuit with room for its gates.

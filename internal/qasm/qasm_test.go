@@ -1,8 +1,10 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -519,29 +521,6 @@ func TestPropertyRoundTrip(t *testing.T) {
 		for _, q := range rng.Perm(n)[:rng.Intn(n+1)] {
 			c.AddMeasure(q, rng.Intn(2*n))
 		}
-		equal := func(a, b *circuit.Circuit) bool {
-			if a.NumQubits != b.NumQubits || len(a.Gates) != len(b.Gates) {
-				return false
-			}
-			for i := range a.Gates {
-				ga, gb := a.Gates[i], b.Gates[i]
-				if ga.Name != gb.Name || ga.Cbit != gb.Cbit ||
-					len(ga.Qubits) != len(gb.Qubits) || len(ga.Params) != len(gb.Params) {
-					return false
-				}
-				for j := range ga.Qubits {
-					if ga.Qubits[j] != gb.Qubits[j] {
-						return false
-					}
-				}
-				for j := range ga.Params {
-					if ga.Params[j] != gb.Params[j] { // exact: shortest form round-trips
-						return false
-					}
-				}
-			}
-			return true
-		}
 		src, err := WriteString(c)
 		if err != nil {
 			return false
@@ -550,7 +529,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !equal(c, got) {
+		if !sameCircuit(c, got) {
 			return false
 		}
 		src2, err := WriteString(got)
@@ -562,6 +541,23 @@ func TestPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameCircuit reports whether a and b have the same register size and the
+// same gates: names, operands, classical bits and parameters, all exact
+// (shortest-form floats parse back bit-equal).
+func sameCircuit(a, b *circuit.Circuit) bool {
+	if a.NumQubits != b.NumQubits || len(a.Gates) != len(b.Gates) {
+		return false
+	}
+	for i := range a.Gates {
+		ga, gb := a.Gates[i], b.Gates[i]
+		if ga.Name != gb.Name || ga.Cbit != gb.Cbit ||
+			!slices.Equal(ga.Qubits, gb.Qubits) || !slices.Equal(ga.Params, gb.Params) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestLexerComments(t *testing.T) {
@@ -581,9 +577,26 @@ func TestStripExt(t *testing.T) {
 	}
 }
 
+// deepAfterShallow returns a program whose line 38 applies a definition,
+// measured before at a depth it fits in, one level too deep, and whose
+// later lines take the program past MaxGates.
+func deepAfterShallow() string {
+	var b strings.Builder
+	b.WriteString("OPENQASM 2.0;\nqreg q[1];\nqreg big[65535];\ngate c0 a { h a; }\n")
+	for i := 1; i <= maxMacroDepth-1; i++ {
+		fmt.Fprintf(&b, "gate c%d a { c%d a; }\n", i, i-1)
+	}
+	// c31 nests h 32 levels below it, which fits at depth 0 but not at 1.
+	fmt.Fprintf(&b, "gate w a { c%d a; }\nc%d q[0];\nw q[0];\n", maxMacroDepth-1, maxMacroDepth-1)
+	b.WriteString(strings.Repeat("h big;\n", 17))
+	return b.String()
+}
+
 // The lexer runs only as far as the parser reads, so of several errors the
 // first in source order is reported, whether lexical or not; expansion
-// errors come after every error in the source.
+// errors come after every error in the source, and an application that
+// nests too deep ends the count of the expansion, so its error comes
+// before a later statement's limit.
 func TestErrorOrder(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{"qreg q[2]\nh q[0];\n@", `qasm "order": line 2: expected ";", found "h"`},
@@ -592,6 +605,7 @@ func TestErrorOrder(t *testing.T) {
 		{"qreg q[1];\nrz(1/0 @) q[0];", `qasm "order": line 2: division by zero in expression`},
 		{"qreg q[2];\ncx q[1],q[1];\nh q[5];", `qasm "order": line 3: qubit index "5" out of range for q[2]`},
 		{"qreg q[2];\ngate g a { g a; }\ng q[0];\ncx q[1],q[1];", `qasm "order": line 3: gate "g" expansion too deep (recursive definition?)`},
+		{deepAfterShallow(), `qasm "order": line 38: gate "h" expansion too deep (recursive definition?)`},
 	}
 	for _, tc := range cases {
 		_, err := Parse("order", tc.src)

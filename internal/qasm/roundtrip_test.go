@@ -13,9 +13,10 @@ import (
 )
 
 // TestWriteParseCompileOracle is a differential oracle across layers: for
-// the Table II programs and the first 10 paper-suite circuits, compiling
-// Parse(WriteString(c)) must give both compilers' shuttle counts and
-// operation traces exactly as compiling c directly does.
+// the Table II programs and the first 10 paper-suite circuits,
+// Parse(WriteString(c)) must equal c gate for gate, and compiling it must
+// give both compilers' shuttle counts and operation traces exactly as
+// compiling c directly does.
 func TestWriteParseCompileOracle(t *testing.T) {
 	circs := []*circuit.Circuit{}
 	for _, spec := range bench.Catalog() {
@@ -32,6 +33,9 @@ func TestWriteParseCompileOracle(t *testing.T) {
 		parsed, err := Parse(c.Name, src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if !sameCircuit(c, parsed) {
+			t.Errorf("%s: Parse(WriteString(c)) differs from c", c.Name)
 		}
 		for name, newCompiler := range compilers {
 			direct, err := newCompiler().CompileContext(t.Context(), c, cfg)

@@ -254,6 +254,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad qasm", `{"qasm": "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[9];\n"}`, "bad_qasm"},
 		{"qasm over the qubit limit", `{"qasm": "OPENQASM 2.0; qreg q[65537]; h q;"}`, "bad_qasm"},
 		{"qasm over the gate limit", fmt.Sprintf(`{"qasm": %q}`, nested), "bad_qasm"},
+		{"qasm over the parameter limit", `{"qasm": "OPENQASM 2.0; qreg q[65536]; foo(` + strings.Repeat("0,", 64) + `0) q;"}`, "bad_qasm"},
 		{"bad json", `{"qasm": 12`, "bad_json"},
 		{"unknown field", `{"qsam": "typo"}`, "bad_json"},
 		{"negative limit", `{"random": {"limit": -1}}`, "bad_request"},

@@ -130,8 +130,9 @@ type OptimizerOptions = core.Options
 func NewCircuit(name string, n int) *Circuit { return circuit.New(name, n) }
 
 // ParseQASM parses OpenQASM 2.0 source into a circuit. It rejects a
-// program whose registers total more than 65,536 qubits or whose gate
-// applications expand to more than 2^20 gates.
+// program whose registers total more than 65,536 qubits, or whose gate
+// applications expand to more than 2^20 gates, 2^22 qubit operands or 2^22
+// angle parameters, or take more than 2^23 steps to expand.
 func ParseQASM(name, src string) (*Circuit, error) { return qasm.Parse(name, src) }
 
 // ParseQASMFile parses an OpenQASM 2.0 file.
