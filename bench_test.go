@@ -73,7 +73,7 @@ func BenchmarkFig4(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := tc.comp.CompileMapped(c, cfg, placement)
+				res, err := tc.comp.CompileMappedContext(b.Context(), c, cfg, placement)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func BenchmarkFig6(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := tc.comp.CompileMapped(c, cfg, placement)
+				res, err := tc.comp.CompileMappedContext(b.Context(), c, cfg, placement)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -175,7 +175,7 @@ func BenchmarkFig7(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := tc.comp.CompileMapped(c, cfg, placement)
+				res, err := tc.comp.CompileMappedContext(b.Context(), c, cfg, placement)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func benchCompile(b *testing.B, build func() *circuit.Circuit, comp func() *comp
 	b.ResetTimer()
 	shuttles := 0
 	for i := 0; i < b.N; i++ {
-		res, err := comp().Compile(c, cfg)
+		res, err := comp().CompileContext(b.Context(), c, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,19 +266,19 @@ func BenchmarkFigure8(b *testing.B) {
 			imp := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rb, err := baseline.New().Compile(c, cfg)
+				rb, err := baseline.New().CompileContext(b.Context(), c, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				ro, err := core.New().Compile(c, cfg)
+				ro, err := core.New().CompileContext(b.Context(), c, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				sb, err := sim.Simulate(cfg, rb.InitialPlacement, rb.Ops, params)
+				sb, err := sim.SimulateContext(b.Context(), cfg, rb.InitialPlacement, rb.Ops, params)
 				if err != nil {
 					b.Fatal(err)
 				}
-				so, err := sim.Simulate(cfg, ro.InitialPlacement, ro.Ops, params)
+				so, err := sim.SimulateContext(b.Context(), cfg, ro.InitialPlacement, ro.Ops, params)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -306,7 +306,7 @@ func BenchmarkAblationProximity(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			shuttles := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.NewWithOptions(core.Options{Proximity: prox}).Compile(c, cfg)
+				res, err := core.NewWithOptions(core.Options{Proximity: prox}).CompileContext(b.Context(), c, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -336,7 +336,7 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			shuttles := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.NewWithOptions(v.opts).Compile(c, cfg)
+				res, err := core.NewWithOptions(v.opts).CompileContext(b.Context(), c, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -391,7 +391,7 @@ func BenchmarkExactOptimalityGap(b *testing.B) {
 	b.Run("optimized", func(b *testing.B) {
 		s := 0
 		for i := 0; i < b.N; i++ {
-			res, err := core.New().CompileMapped(native, cfg, placement)
+			res, err := core.New().CompileMappedContext(b.Context(), native, cfg, placement)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -402,7 +402,7 @@ func BenchmarkExactOptimalityGap(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
 		s := 0
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.New().CompileMapped(native, cfg, placement)
+			res, err := baseline.New().CompileMappedContext(b.Context(), native, cfg, placement)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -428,7 +428,7 @@ func BenchmarkAblationMapping(b *testing.B) {
 		b.Run(m.Name(), func(b *testing.B) {
 			s := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.New().CompileWithMapper(c, cfg, m)
+				res, err := core.New().CompileWithMapperContext(b.Context(), c, cfg, m)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -444,7 +444,7 @@ func BenchmarkAblationMapping(b *testing.B) {
 func BenchmarkAblationCooling(b *testing.B) {
 	c := bench.Random(64, 1200, 9)
 	cfg := machine.PaperL6()
-	res, err := core.New().Compile(c, cfg)
+	res, err := core.New().CompileContext(b.Context(), c, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func BenchmarkAblationCooling(b *testing.B) {
 			}
 			logF := 0.0
 			for i := 0; i < b.N; i++ {
-				rep, err := sim.Simulate(cfg, res.InitialPlacement, res.Ops, params)
+				rep, err := sim.SimulateContext(b.Context(), cfg, res.InitialPlacement, res.Ops, params)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,7 +9,6 @@
 //
 //	muzzlesweep -grid grid.json [flags]
 //	muzzlesweep -topo line:6,ring:6,grid:2x3 -circuits qft:16 [flags]
-//	muzzlesweep -server http://host:8077 -circuits qft:16 [flags]
 //
 // Flags:
 //
@@ -20,11 +19,7 @@
 //	-compilers LIST   registry compiler set (default baseline,optimized)
 //	-circuits LIST    circuit axis: paper | qft:N | random:Q:G:SEED[:COUNT]
 //	-out DIR          artifact directory (default sweep-out)
-//	-server URL       submit the sweep to a muzzled daemon instead of running
-//	                  locally; admission backpressure (429 + Retry-After) is
-//	                  honored with jittered backoff, and report.json/report.csv
-//	                  are written under -out from the daemon's result
-//	-parallelism N    concurrent cells (0 = one per CPU; local runs only)
+//	-parallelism N    concurrent cells (0 = one per CPU)
 //	-cache N          in-memory compile-cache entries (default 4096; 0 disables)
 //	-cache-dir DIR    persist cache entries as JSON under DIR (shared across runs)
 //	-cache-disk N     max persisted files under -cache-dir (0 = unbounded)
@@ -35,29 +30,21 @@
 //
 // Artifacts under -out: report.json (the aggregated deterministic report),
 // report.csv (one row per cell x compiler), manifest.json and cells/ (the
-// resume state; local runs only — for resumable distributed runs, see
-// muzzlecoord).
+// resume state). To run the same grid on muzzled daemons instead, use
+// muzzlecoord -workers URL, which writes the same artifact directory.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"muzzle"
-	"muzzle/internal/coord"
-	"muzzle/internal/service"
 	"muzzle/internal/sweep"
 )
 
@@ -76,7 +63,6 @@ func run() error {
 	compilers := flag.String("compilers", "", "compiler set (default baseline,optimized)")
 	circuits := flag.String("circuits", "qft:16", "circuit axis: paper | qft:N | random:Q:G:SEED[:COUNT], comma separated")
 	out := flag.String("out", "sweep-out", "artifact directory (resumable)")
-	server := flag.String("server", "", "submit to a muzzled daemon at this base URL instead of running locally")
 	parallelism := flag.Int("parallelism", 0, "concurrent cells (0 = one per CPU)")
 	cacheEntries := flag.Int("cache", 4096, "in-memory compile-cache entries (0 disables caching)")
 	cacheDir := flag.String("cache-dir", "", "persist compile-cache entries under this directory")
@@ -125,23 +111,6 @@ func run() error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// SIGINT/SIGTERM is an orderly stop: completed cells are already
-	// persisted (locally under -out, remotely daemon-side), so exit 0 and
-	// let a re-run resume. A -timeout abort stays an error.
-	graceful := func(err error) bool {
-		return sigCtx.Err() != nil && errors.Is(err, context.Canceled)
-	}
-
-	if *server != "" {
-		if err := runRemote(ctx, *server, grid, *out, *verifyFlag, *quiet); err != nil {
-			if graceful(err) {
-				fmt.Println("interrupted: sweep canceled daemon-side; resubmit to start over, or query the daemon for partial results")
-				return nil
-			}
-			return err
-		}
-		return nil
-	}
 
 	var cache *muzzle.Cache
 	if *cacheEntries > 0 {
@@ -168,7 +137,10 @@ func run() error {
 
 	rep, err := exp.RunDir(ctx, *out, opt)
 	if err != nil {
-		if graceful(err) {
+		// SIGINT/SIGTERM is an orderly stop: completed cells are already
+		// persisted under -out, so exit 0 and let a re-run resume. A
+		// -timeout abort stays an error.
+		if sigCtx.Err() != nil && errors.Is(err, context.Canceled) {
 			done := 0
 			for _, cr := range rep.Cells {
 				if cr.Error == "" {
@@ -192,7 +164,7 @@ func run() error {
 	return nil
 }
 
-// printCell is the per-cell progress line shared by local and remote runs.
+// printCell prints one per-cell progress line.
 func printCell(cr sweep.CellReport) {
 	if cr.Error != "" {
 		fmt.Printf("%-48s ERROR: %s\n", cr.ID, cr.Error)
@@ -203,161 +175,4 @@ func printCell(cr sweep.CellReport) {
 		parts = append(parts, fmt.Sprintf("%s=%d", o.Compiler, o.Shuttles))
 	}
 	fmt.Printf("%-48s shuttles: %s\n", cr.ID, strings.Join(parts, " "))
-}
-
-// runRemote submits the grid to a muzzled daemon (POST /v1/sweeps), riding
-// out admission backpressure — a 429 is an invitation to retry after the
-// daemon's own Retry-After estimate, not a failure — then polls the job to
-// completion and writes report.json/report.csv under outDir.
-func runRemote(ctx context.Context, base string, g sweep.Grid, outDir string, verify, quiet bool) error {
-	if verify {
-		// The per-sweep verify knob is daemon-side (-verify); the sweep
-		// grid itself carries no verify field.
-		fmt.Fprintln(os.Stderr, "muzzlesweep: note: -verify with -server requires the daemon to run with -verify")
-	}
-	base = strings.TrimRight(base, "/")
-	body, err := json.Marshal(g)
-	if err != nil {
-		return err
-	}
-
-	client := &http.Client{}
-	var view service.JobView
-	backoff := coord.Backoff{}
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/sweeps", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			delay := backoff.Delay(attempt, coord.RetryAfter(resp.Header))
-			fmt.Printf("daemon at capacity (429), retrying in %s\n", delay.Round(time.Millisecond))
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(delay):
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return fmt.Errorf("submit: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
-		if err := json.Unmarshal(raw, &view); err != nil {
-			return fmt.Errorf("submit: decode response: %w", err)
-		}
-		break
-	}
-	fmt.Printf("sweep %s submitted (%d cells)\n", view.ID, view.CircuitsTotal)
-
-	rep, err := pollSweep(ctx, client, base, view.ID, quiet)
-	if err != nil {
-		return err
-	}
-	if err := writeRemoteReports(outDir, rep); err != nil {
-		return err
-	}
-	if n := rep.Failures(); n > 0 {
-		return fmt.Errorf("%d of %d cells failed (see %s/report.json)", n, len(rep.Cells), outDir)
-	}
-	fmt.Printf("done: %d cells -> %s/report.json, %s/report.csv\n", len(rep.Cells), outDir, outDir)
-	return nil
-}
-
-// pollSweep polls the sweep job until it is terminal; on interrupt it
-// cancels the job daemon-side before returning.
-func pollSweep(ctx context.Context, client *http.Client, base, id string, quiet bool) (*sweep.Report, error) {
-	lastDone := 0
-	for {
-		select {
-		case <-ctx.Done():
-			// Best effort: don't leave the daemon computing a sweep nobody
-			// will read.
-			req, err := http.NewRequest(http.MethodDelete, base+"/v1/sweeps/"+id, nil)
-			if err == nil {
-				if resp, err := client.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}
-			return nil, ctx.Err()
-		case <-time.After(500 * time.Millisecond):
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/sweeps/"+id, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		var view service.JobView
-		err = json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("poll: %w", err)
-		}
-		if !quiet && view.CircuitsDone != lastDone {
-			fmt.Printf("progress: %d/%d cells\n", view.CircuitsDone, view.CircuitsTotal)
-			lastDone = view.CircuitsDone
-		}
-		if !view.State.Terminal() {
-			continue
-		}
-		if view.Sweep == nil {
-			return nil, fmt.Errorf("sweep %s %s: %s", id, view.State, view.Error)
-		}
-		if view.State != service.StateDone {
-			return view.Sweep, fmt.Errorf("sweep %s %s: %s", id, view.State, view.Error)
-		}
-		return view.Sweep, nil
-	}
-}
-
-// writeRemoteReports writes report.json/report.csv from a daemon-computed
-// report, atomically, matching the local artifact layout.
-func writeRemoteReports(dir string, rep *sweep.Report) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var jb, cb bytes.Buffer
-	if err := sweep.WriteJSON(&jb, rep); err != nil {
-		return err
-	}
-	if err := sweep.WriteCSV(&cb, rep); err != nil {
-		return err
-	}
-	if err := writeFile(filepath.Join(dir, "report.json"), jb.Bytes()); err != nil {
-		return err
-	}
-	return writeFile(filepath.Join(dir, "report.csv"), cb.Bytes())
-}
-
-func writeFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

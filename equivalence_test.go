@@ -73,8 +73,8 @@ func checkEquivalence(t *testing.T, c *circuit.Circuit, cfg machine.Config) {
 		naiveComp := build()
 		naiveComp.DisableIndex = true
 		fastComp := build()
-		naive, errN := naiveComp.Compile(c, cfg)
-		fast, errF := fastComp.Compile(c, cfg)
+		naive, errN := naiveComp.CompileContext(t.Context(), c, cfg)
+		fast, errF := fastComp.CompileContext(t.Context(), c, cfg)
 		if (errN == nil) != (errF == nil) {
 			t.Fatalf("%s: error divergence: naive=%v indexed=%v", name, errN, errF)
 		}
@@ -161,8 +161,8 @@ func TestTraceEquivalenceHoists(t *testing.T) {
 		naive := core.New()
 		naive.DisableIndex = true
 		fast := core.New()
-		resN, errN := naive.Compile(c, cfg)
-		resF, errF := fast.Compile(c, cfg)
+		resN, errN := naive.CompileContext(t.Context(), c, cfg)
+		resF, errF := fast.CompileContext(t.Context(), c, cfg)
 		if (errN == nil) != (errF == nil) {
 			t.Fatalf("seed %d: error divergence: naive=%v indexed=%v", seed, errN, errF)
 		}

@@ -32,7 +32,7 @@ func fig4Config() (machine.Config, [][]int) {
 // on 4 gates.
 func TestFigure4BaselinePingPong(t *testing.T) {
 	cfg, placement := fig4Config()
-	res, err := New().CompileMapped(fig4Circuit(), cfg, placement)
+	res, err := New().CompileMappedContext(t.Context(), fig4Circuit(), cfg, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBaselineFullBenchmarkSmoke(t *testing.T) {
 		c.Add2Q("cx", i, (i+6)%12)
 	}
 	cfg := machine.Config{Topology: topo.Linear(3), Capacity: 6, CommCapacity: 2}
-	res, err := New().Compile(c, cfg)
+	res, err := New().CompileContext(t.Context(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestCompileSimpleCrossTrapGate(t *testing.T) {
 	c := circuit.New("x", 4)
 	c.Add2Q("ms", 0, 2)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
-	res, err := testCompiler().CompileMapped(c, cfg, [][]int{{0, 1}, {2, 3}})
+	res, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCompileCoLocatedNeedsNoShuttle(t *testing.T) {
 	c.Add2Q("ms", 0, 1)
 	c.Add1Q("r", 2)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
-	res, err := testCompiler().CompileMapped(c, cfg, [][]int{{0, 1}, {2, 3}})
+	res, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCompileTriggersRebalance(t *testing.T) {
 	c := circuit.New("x", 9)
 	c.Add2Q("ms", 0, 2) // 0 in T0 (full), 2 in T1 (full)
 	cfg := machine.Config{Topology: topo.Linear(3), Capacity: 4, CommCapacity: 0}
-	res, err := testCompiler().CompileMapped(c, cfg, [][]int{{0, 5, 6, 7}, {2, 3, 4, 8}, {1}})
+	res, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 5, 6, 7}, {2, 3, 4, 8}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCompileFlipsDirectionWhenDestFull(t *testing.T) {
 	c := circuit.New("x", 6)
 	c.Add2Q("ms", 0, 2) // firstIonDirection favors moving 0 into T1 (full)
 	cfg := machine.Config{Topology: topo.Linear(3), Capacity: 4, CommCapacity: 0}
-	res, err := testCompiler().CompileMapped(c, cfg, [][]int{{0}, {2, 3, 4, 5}, {1}})
+	res, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0}, {2, 3, 4, 5}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCompileDeadlockErrors(t *testing.T) {
 	c := circuit.New("x", 8)
 	c.Add2Q("ms", 0, 4)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 0}
-	_, err := testCompiler().CompileMapped(c, cfg, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})
+	_, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})
 	if err == nil {
 		t.Fatal("deadlocked compile succeeded")
 	}
@@ -238,11 +238,11 @@ func TestCompileRejectsNonNative(t *testing.T) {
 	c := circuit.New("x", 2)
 	c.Add2Q("cx", 0, 1)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
-	if _, err := testCompiler().CompileMapped(c, cfg, [][]int{{0}, {1}}); err == nil {
+	if _, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0}, {1}}); err == nil {
 		t.Fatal("non-native circuit accepted by CompileMapped")
 	}
 	// Compile (with decomposition) must handle it.
-	if _, err := testCompiler().Compile(c, cfg); err != nil {
+	if _, err := testCompiler().CompileContext(t.Context(), c, cfg); err != nil {
 		t.Fatalf("Compile failed: %v", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestCompileRejectsMissingPolicies(t *testing.T) {
 	c.Add2Q("ms", 0, 1)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
 	bad := &Compiler{}
-	if _, err := bad.CompileMapped(c, cfg, [][]int{{0}, {1}}); err == nil {
+	if _, err := bad.CompileMappedContext(t.Context(), c, cfg, [][]int{{0}, {1}}); err == nil {
 		t.Fatal("compiler without policies accepted")
 	}
 }
@@ -262,7 +262,7 @@ func TestCompileValidatesDirectionDecision(t *testing.T) {
 	c.Add2Q("ms", 0, 2)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
 	bad := &Compiler{Direction: badIonDirection{}, Rebalancer: lowestFitRebalancer{}}
-	if _, err := bad.CompileMapped(c, cfg, [][]int{{0, 1}, {2, 3}}); err == nil {
+	if _, err := bad.CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1}, {2, 3}}); err == nil {
 		t.Fatal("bad direction decision accepted")
 	}
 }
@@ -271,7 +271,7 @@ func TestCompilePlacementTooSmall(t *testing.T) {
 	c := circuit.New("x", 4)
 	c.Add2Q("ms", 0, 3)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
-	if _, err := testCompiler().CompileMapped(c, cfg, [][]int{{0}, {1}}); err == nil {
+	if _, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0}, {1}}); err == nil {
 		t.Fatal("undersized placement accepted")
 	}
 }
@@ -282,7 +282,7 @@ func TestCompileMeasureAndBarrier(t *testing.T) {
 	c.MustAppend(circuit.Gate{Name: "barrier", Qubits: []int{0, 1}})
 	c.MustAppend(circuit.Gate{Name: "measure", Qubits: []int{0}})
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
-	res, err := testCompiler().CompileMapped(c, cfg, [][]int{{0, 1}, {}})
+	res, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestQuickCompileCorrectness(t *testing.T) {
 		n := 6 + rng.Intn(8)
 		c := randomNative(rng, n, 20+rng.Intn(60))
 		cfg := machine.Config{Topology: topo.Linear(3), Capacity: 8, CommCapacity: 2}
-		res, err := testCompiler().Compile(c, cfg)
+		res, err := testCompiler().CompileContext(t.Context(), c, cfg)
 		if err != nil {
 			return false
 		}

@@ -102,16 +102,9 @@ func (c *Compiler) maxRebalanceDepth() int {
 	return DefaultMaxRebalanceDepth
 }
 
-// Compile decomposes circ to the native gate set, computes a greedy initial
-// placement, and schedules the program.
-//
-//muzzle:ctx-background legacy ctx-less API; cancelable callers use CompileContext
-func (c *Compiler) Compile(circ *circuit.Circuit, cfg machine.Config) (*Result, error) {
-	return c.CompileContext(context.Background(), circ, cfg)
-}
-
-// CompileContext is Compile with cooperative cancellation: the scheduling
-// loop checks ctx once per gate and aborts with ctx.Err() when it fires.
+// CompileContext decomposes circ to the native gate set, computes a greedy
+// initial placement, and schedules the program. The scheduling loop checks
+// ctx once per gate and aborts with ctx.Err() when it fires.
 func (c *Compiler) CompileContext(ctx context.Context, circ *circuit.Circuit, cfg machine.Config) (*Result, error) {
 	native, err := circuit.Decompose(circ)
 	if err != nil {
@@ -124,21 +117,15 @@ func (c *Compiler) CompileContext(ctx context.Context, circ *circuit.Circuit, cf
 	return c.CompileMappedContext(ctx, native, cfg, placement)
 }
 
-// CompileMapped schedules an already-native circuit from an explicit initial
-// placement. placement[t] lists the ions (== qubit ids) initially in trap t.
-//
-//muzzle:ctx-background legacy ctx-less API; cancelable callers use CompileMappedContext
-func (c *Compiler) CompileMapped(native *circuit.Circuit, cfg machine.Config, placement [][]int) (*Result, error) {
-	return c.CompileMappedContext(context.Background(), native, cfg, placement)
-}
-
 // tracePool recycles trace buffers across compiles. A compile records into
 // a pooled buffer and returns an exact-length copy, so Result.Ops never
 // aliases pooled memory and a warm buffer spares every later compile the
 // trace's regrowth copies. It holds *[]machine.Op, so Put does not allocate.
 var tracePool = sync.Pool{New: func() any { return new([]machine.Op) }}
 
-// CompileMappedContext is CompileMapped with cooperative cancellation.
+// CompileMappedContext schedules an already-native circuit from an explicit
+// initial placement, with cooperative cancellation. placement[t] lists the
+// ions (== qubit ids) initially in trap t.
 func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Circuit, cfg machine.Config, placement [][]int) (*Result, error) {
 	start := time.Now()
 	if c.Direction == nil || c.Rebalancer == nil {

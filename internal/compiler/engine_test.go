@@ -38,7 +38,7 @@ func TestHoleShiftAcrossSaturatedCorridor(t *testing.T) {
 	c.Add2Q("ms", 0, 3)
 	cfg := machine.Config{Topology: topo.Linear(4), Capacity: 3, CommCapacity: 0}
 	comp := &Compiler{Direction: firstIonDirection{}, Rebalancer: farFitRebalancer{}}
-	res, err := comp.CompileMapped(c, cfg, [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9}})
+	res, err := comp.CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestHoleShiftSkipsProtectedIons(t *testing.T) {
 	cfg := machine.Config{Topology: topo.Linear(3), Capacity: 3, CommCapacity: 0}
 	comp := &Compiler{Direction: firstIonDirection{}, Rebalancer: farFitRebalancer{}}
 	// T0=[0 1 2] full, T1=[4 5 6] full, T2=[7] roomy.
-	res, err := comp.CompileMapped(c, cfg, [][]int{{0, 1, 2}, {4, 5, 6}, {3, 7}})
+	res, err := comp.CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1, 2}, {4, 5, 6}, {3, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRouteBudgetError(t *testing.T) {
 	comp := &Compiler{Direction: firstIonDirection{}, Rebalancer: lowestFitRebalancer{}, MaxRebalanceDepth: 1}
 	// Both traps full: flip impossible, rebalance impossible (no room
 	// anywhere) -> must error mentioning the block.
-	_, err := comp.CompileMapped(c, cfg, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})
+	_, err := comp.CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -137,7 +137,7 @@ func TestCompileOnGridAndRing(t *testing.T) {
 				c.Add2Q("ms", i, j)
 			}
 		}
-		res, err := testCompiler().Compile(c, cfg)
+		res, err := testCompiler().CompileContext(t.Context(), c, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tp.Name(), err)
 		}
@@ -152,7 +152,7 @@ func TestCompileTimeRecorded(t *testing.T) {
 	c := circuit.New("x", 4)
 	c.Add2Q("ms", 0, 2)
 	cfg := machine.Config{Topology: topo.Linear(2), Capacity: 4, CommCapacity: 1}
-	res, err := testCompiler().CompileMapped(c, cfg, [][]int{{0, 1}, {2, 3}})
+	res, err := testCompiler().CompileMappedContext(t.Context(), c, cfg, [][]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

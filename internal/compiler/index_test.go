@@ -71,7 +71,7 @@ func TestIndexMaintenanceProperty(t *testing.T) {
 			Reorderer:   hoistAnyReorderer{},
 			verifyIndex: true,
 		}
-		res, err := comp.Compile(c, cfg)
+		res, err := comp.CompileContext(t.Context(), c, cfg)
 		if err != nil {
 			// Saturated machines may legitimately fail to route; the
 			// property under test is index consistency (a divergence

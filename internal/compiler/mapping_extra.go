@@ -232,15 +232,8 @@ func CutWeight(c *circuit.Circuit, cfg machine.Config, placement [][]int) int {
 	return s
 }
 
-// CompileWithMapper runs the compiler using an explicit placement policy
-// instead of the default greedy mapping.
-//
-//muzzle:ctx-background legacy ctx-less API; cancelable callers use CompileWithMapperContext
-func (c *Compiler) CompileWithMapper(circ *circuit.Circuit, cfg machine.Config, mapper Placement) (*Result, error) {
-	return c.CompileWithMapperContext(context.Background(), circ, cfg, mapper)
-}
-
-// CompileWithMapperContext is CompileWithMapper with cooperative
+// CompileWithMapperContext runs the compiler using an explicit placement
+// policy instead of the default greedy mapping, with cooperative
 // cancellation.
 func (c *Compiler) CompileWithMapperContext(ctx context.Context, circ *circuit.Circuit, cfg machine.Config, mapper Placement) (*Result, error) {
 	native, err := circuit.Decompose(circ)

@@ -160,11 +160,11 @@ func TestMappersRejectOversubscription(t *testing.T) {
 func TestCompileWithMapper(t *testing.T) {
 	c := clusteredCircuit()
 	cfg := mapperCfg()
-	resGreedy, err := testCompiler().CompileWithMapper(c, cfg, GreedyMapper{})
+	resGreedy, err := testCompiler().CompileWithMapperContext(t.Context(), c, cfg, GreedyMapper{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRandom, err := testCompiler().CompileWithMapper(c, cfg, RandomMapper{Seed: 5})
+	resRandom, err := testCompiler().CompileWithMapperContext(t.Context(), c, cfg, RandomMapper{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestTableIMoveScores(t *testing.T) {
 // where the baseline needs 4.
 func TestFigure4FutureOps(t *testing.T) {
 	_, cfg, placement := fig4Setup(t)
-	res, err := New().CompileMapped(fig4Circuit(), cfg, placement)
+	res, err := New().CompileMappedContext(t.Context(), fig4Circuit(), cfg, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFigure4FutureOps(t *testing.T) {
 		}
 	}
 	// Cross-check the baseline on the identical input: 4 shuttles.
-	resB, err := baseline.New().CompileMapped(fig4Circuit(), cfg, placement)
+	resB, err := baseline.New().CompileMappedContext(t.Context(), fig4Circuit(), cfg, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func fig6Config() (machine.Config, [][]int) {
 // needs 5.
 func TestFigure6Reordering(t *testing.T) {
 	cfg, placement := fig6Config()
-	res, err := New().CompileMapped(fig6Circuit(), cfg, placement)
+	res, err := New().CompileMappedContext(t.Context(), fig6Circuit(), cfg, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFigure6Reordering(t *testing.T) {
 		t.Errorf("moves = %v, want [ion4 T1->T0, ion2 T0->T1]", moves)
 	}
 
-	resB, err := baseline.New().CompileMapped(fig6Circuit(), cfg, placement)
+	resB, err := baseline.New().CompileMappedContext(t.Context(), fig6Circuit(), cfg, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestFigure7EndToEnd(t *testing.T) {
 		c.Add2Q("ms", 14, 21) // ion 14 in T3, ion 21 in T5; path crosses full T4
 		return c
 	}
-	resOpt, err := New().CompileMapped(mkCircuit(), cfg, placement)
+	resOpt, err := New().CompileMappedContext(t.Context(), mkCircuit(), cfg, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBase, err := baseline.New().CompileMapped(mkCircuit(), cfg, placement)
+	resBase, err := baseline.New().CompileMappedContext(t.Context(), mkCircuit(), cfg, placement)
 	if err != nil {
 		t.Fatal(err)
 	}

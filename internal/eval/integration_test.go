@@ -23,11 +23,11 @@ func TestExtendedKernelsBothCompilers(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			c := spec.Build()
-			resB, err := baseline.New().Compile(c, cfg)
+			resB, err := baseline.New().CompileContext(t.Context(), c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resO, err := core.New().Compile(c, cfg)
+			resO, err := core.New().CompileContext(t.Context(), c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,10 +50,10 @@ func TestExtendedKernelsBothCompilers(t *testing.T) {
 				t.Errorf("optimized (%d) worse than baseline (%d) on %s", resO.Shuttles, resB.Shuttles, spec.Name)
 			}
 			// Traces replay cleanly through the simulator.
-			if _, err := sim.Simulate(cfg, resB.InitialPlacement, resB.Ops, sim.DefaultParams()); err != nil {
+			if _, err := sim.SimulateContext(t.Context(), cfg, resB.InitialPlacement, resB.Ops, sim.DefaultParams()); err != nil {
 				t.Errorf("baseline replay: %v", err)
 			}
-			if _, err := sim.Simulate(cfg, resO.InitialPlacement, resO.Ops, sim.DefaultParams()); err != nil {
+			if _, err := sim.SimulateContext(t.Context(), cfg, resO.InitialPlacement, resO.Ops, sim.DefaultParams()); err != nil {
 				t.Errorf("optimized replay: %v", err)
 			}
 		})
@@ -67,7 +67,7 @@ func TestExtendedKernelsBothCompilers(t *testing.T) {
 func TestGHZNeedsFewShuttles(t *testing.T) {
 	cfg := machine.PaperL6()
 	c := bench.GHZ(64)
-	res, err := core.New().Compile(c, cfg)
+	res, err := core.New().CompileContext(t.Context(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestGHZNeedsFewShuttles(t *testing.T) {
 func TestStarPatternStress(t *testing.T) {
 	cfg := machine.PaperL6()
 	c := bench.BernsteinVazirani(64, ^uint64(0))
-	resB, err := baseline.New().Compile(c, cfg)
+	resB, err := baseline.New().CompileContext(t.Context(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resO, err := core.New().Compile(c, cfg)
+	resO, err := core.New().CompileContext(t.Context(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestStarPatternStress(t *testing.T) {
 func TestSmallMachineEndToEnd(t *testing.T) {
 	cfg := machine.Config{Topology: topo.Grid(2, 3), Capacity: 14, CommCapacity: 2}
 	for _, spec := range bench.ExtendedCatalog() {
-		if _, err := core.New().Compile(spec.Build(), cfg); err != nil {
+		if _, err := core.New().CompileContext(t.Context(), spec.Build(), cfg); err != nil {
 			t.Errorf("%s on grid: %v", spec.Name, err)
 		}
 	}

@@ -174,12 +174,12 @@ func TestHeuristicsNeverBeatOptimum(t *testing.T) {
 		if err != nil {
 			return true // capacity deadlocks are legal to skip
 		}
-		base, err := baseline.New().CompileMapped(c, cfg, placement)
+		base, err := baseline.New().CompileMappedContext(t.Context(), c, cfg, placement)
 		if err != nil {
 			return true
 		}
 		noReorder := core.NewWithOptions(core.Options{DisableReorder: true})
-		optim, err := noReorder.CompileMapped(c, cfg, placement)
+		optim, err := noReorder.CompileMappedContext(t.Context(), c, cfg, placement)
 		if err != nil {
 			return true
 		}

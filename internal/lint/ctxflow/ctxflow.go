@@ -9,17 +9,16 @@
 //
 //  1. A context.Background() or context.TODO() call in a covered package
 //     is a finding: it severs the cancellation chain. Waive a deliberate
-//     root — a daemon lifecycle context, a legacy ctx-less API wrapper —
-//     with `//muzzle:ctx-background <reason>` on the same line or in the
-//     function's doc comment. A waiver without a reason is itself a
-//     finding.
+//     root, such as a daemon lifecycle context, with
+//     `//muzzle:ctx-background <reason>` on the same line as the call. A
+//     waiver without a reason is itself a finding.
 //
 //  2. (Interprocedural, needs the call graph.) A call to a module-local
 //     function whose summary says it transitively constructs an unwaived
 //     Background/TODO is a finding at the call site: the callee silently
 //     discards the caller's cancellation even though the caller did
-//     everything right. Waivers zero the summary, so an annotated legacy
-//     wrapper quiets its callers too.
+//     everything right. A waived construction stays out of the summary, so
+//     callers of a waived root stay quiet too.
 //
 //  3. http.NewRequest in a covered package is a finding — the request
 //     carries no context — with http.NewRequestWithContext as the fix.
@@ -43,8 +42,8 @@ var Analyzer = &analysis.Analyzer{
 		"In request-path packages (service, coord, eval, sweep, flight, sim,\n" +
 		"compiler): context.Background()/TODO() calls, calls to module-local\n" +
 		"functions that transitively construct one, and ctx-less http.NewRequest\n" +
-		"are findings. Waive deliberate context roots with\n" +
-		"//muzzle:ctx-background <reason>.",
+		"are findings. Waive a deliberate context root with\n" +
+		"//muzzle:ctx-background <reason> on the line of its construction.",
 	Run: run,
 }
 
@@ -80,25 +79,10 @@ type waiver struct {
 	pos    token.Pos
 }
 
-// fileWaivers collects every same-line //muzzle:ctx-background comment.
-// Declaration doc comments are excluded — those are the *function-level*
-// waiver form, handled (and required to carry a reason) where the
-// declaration is inspected.
+// fileWaivers collects every //muzzle:ctx-background comment by line.
 func fileWaivers(fset *token.FileSet, files []*ast.File, into map[lineKey]waiver) {
 	for _, f := range files {
-		doc := map[*ast.CommentGroup]bool{}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				doc[d.Doc] = true
-			case *ast.GenDecl:
-				doc[d.Doc] = true
-			}
-		}
 		for _, cg := range f.Comments {
-			if doc[cg] {
-				continue
-			}
 			for _, c := range cg.List {
 				if arg, ok := analysis.DirectiveComment(c, "muzzle:ctx-background"); ok {
 					p := fset.Position(c.Pos())
@@ -143,11 +127,7 @@ type summary struct {
 	may  bool
 	what string // the constructor, for the witness message
 	via  string // callee FuncID when the evidence is inherited
-	// docWaived: the function doc carries the waiver; zeroes the summary.
-	docWaived bool
 }
-
-func (s *summary) effMay() bool { return s != nil && s.may && !s.docWaived }
 
 // summaries computes the whole-program fixpoint once per Program.
 func summaries(prog *callgraph.Program) map[string]*summary {
@@ -158,7 +138,7 @@ func summaries(prog *callgraph.Program) map[string]*summary {
 		}
 		sums := make(map[string]*summary, len(prog.Nodes))
 		for _, n := range prog.Nodes {
-			s := &summary{docWaived: analysis.HasDirective(n.Decl.Doc, "muzzle:ctx-background")}
+			s := &summary{}
 			ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 				if s.may {
 					return false
@@ -187,7 +167,7 @@ func summaries(prog *callgraph.Program) map[string]*summary {
 					continue
 				}
 				for _, e := range n.Out {
-					if c := sums[e.CalleeID]; c.effMay() {
+					if c := sums[e.CalleeID]; c != nil && c.may {
 						s.may, s.via = true, e.CalleeID
 						changed = true
 						break
@@ -237,12 +217,6 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			name := fd.Name.Name
-			if arg, ok := analysis.Directive(fd.Doc, "muzzle:ctx-background"); ok {
-				if arg == "" {
-					pass.Reportf(fd.Pos(), "muzzle:ctx-background waiver is missing a reason")
-				}
-				continue // the whole function is a deliberate context root
-			}
 
 			// Rules 1 and 3: syntactic, graph-free.
 			ast.Inspect(fd.Body, func(node ast.Node) bool {
@@ -275,7 +249,7 @@ func run(pass *analysis.Pass) error {
 			reported := map[string]bool{}
 			for _, e := range n.Out {
 				c := sums[e.CalleeID]
-				if !c.effMay() || reported[e.CalleeID] {
+				if c == nil || !c.may || reported[e.CalleeID] {
 					continue
 				}
 				if _, waived := waivedAt(e.Site); waived {

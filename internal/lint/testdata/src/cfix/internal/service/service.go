@@ -18,11 +18,11 @@ func Handler(ctx context.Context) {
 	_ = root
 }
 
-// BadWaiver carries a doc waiver with no justification.
-//
-//muzzle:ctx-background
-func BadWaiver() { // want `muzzle:ctx-background waiver is missing a reason`
-	_ = context.Background()
+// BadWaiver carries a waiver with no justification. Its expectation is a
+// block comment before the directive: a trailing comment would be read as
+// the waiver's reason.
+func BadWaiver() {
+	_ = context.Background() /* want `muzzle:ctx-background waiver is missing a reason` */ //muzzle:ctx-background
 }
 
 // UsesHelper exercises rule 2: the callee severs cancellation one hop

@@ -90,6 +90,9 @@ func TestCellEndpointValidation(t *testing.T) {
 	g := testGrid()
 	g.Topologies = nil
 	check("invalid grid", service.CellRequest{Grid: g, Index: 0}, http.StatusBadRequest, "bad_grid")
+	g = testGrid()
+	g.Topologies = []sweep.TopologySpec{{Family: sweep.FamilyRing, Traps: sweep.MaxTraps + 1}}
+	check("grid past the limits", service.CellRequest{Grid: g, Index: 0}, http.StatusBadRequest, "bad_grid")
 
 	check("index out of range", service.CellRequest{Grid: testGrid(), Index: 99}, http.StatusBadRequest, "bad_cell")
 	check("negative index", service.CellRequest{Grid: testGrid(), Index: -1}, http.StatusBadRequest, "bad_cell")

@@ -102,6 +102,13 @@ func TestSweepSubmitValidation(t *testing.T) {
 	bad("comm >= capacity", func(g *sweep.Grid) { g.CommCapacities = []int{6} }, "bad_grid")
 	bad("no circuits", func(g *sweep.Grid) { g.Circuits = nil }, "bad_grid")
 	bad("bad circuit kind", func(g *sweep.Grid) { g.Circuits = []sweep.CircuitSpec{{Kind: "ghz"}} }, "bad_grid")
+	bad("past the trap limit", func(g *sweep.Grid) {
+		g.Topologies = []sweep.TopologySpec{{Family: sweep.FamilyLine, Traps: sweep.MaxTraps + 1}}
+	}, "bad_grid")
+	bad("past the cell limit", func(g *sweep.Grid) {
+		g.Circuits = []sweep.CircuitSpec{{Kind: sweep.CircuitRandom, Qubits: 8, Gates2Q: 8, Count: 1000000}}
+	}, "bad_grid")
+	bad("past the gate limit", func(g *sweep.Grid) { g.Circuits = []sweep.CircuitSpec{{Kind: sweep.CircuitQFT, Qubits: 1448}} }, "bad_grid")
 
 	// Malformed JSON and unknown fields are 400s too.
 	for name, body := range map[string]string{

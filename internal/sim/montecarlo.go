@@ -72,8 +72,8 @@ func WilsonInterval(successes, trials int, z float64) (low, high float64) {
 // mcChunk trials; chunk c draws from its own rand source seeded with
 // splitMix64(seed, c). Workers claim whole chunks, so the set of random
 // streams — and therefore the estimate — depends only on (seed, trials),
-// never on the worker count or scheduling order: SampleSuccess(…, s) is
-// bit-for-bit reproducible on any machine and any GOMAXPROCS.
+// never on the worker count or scheduling order: SampleSuccessContext(…, s)
+// is bit-for-bit reproducible on any machine and any GOMAXPROCS.
 const mcChunk = 8192
 
 // splitMix64 derives a decorrelated per-chunk seed from the user seed; it is
@@ -86,9 +86,9 @@ func splitMix64(seed int64, chunk int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// SampleSuccess estimates the program success probability by Monte Carlo:
-// it replays the trace once through the analytic simulator to obtain every
-// gate's fidelity, then samples `trials` runs in which each gate fails
+// SampleSuccessContext estimates the program success probability by Monte
+// Carlo: it replays the trace once through the analytic simulator to obtain
+// every gate's fidelity, then samples `trials` runs in which each gate fails
 // independently with probability 1 - F(gate). A run succeeds when no gate
 // fails.
 //
@@ -101,15 +101,9 @@ func splitMix64(seed int64, chunk int) int64 {
 // extensions with correlated errors; it also gives confidence intervals,
 // which the analytic number alone does not.
 //
-//muzzle:ctx-background legacy ctx-less API; cancelable callers use SampleSuccessContext
-func SampleSuccess(cfg machine.Config, initial [][]int, ops []machine.Op, params Params, trials int, seed int64) (*SuccessEstimate, error) {
-	return SampleSuccessContext(context.Background(), cfg, initial, ops, params, trials, seed)
-}
-
-// SampleSuccessContext is SampleSuccess with cooperative cancellation: the
-// analytic replay aborts at its usual stride, and each worker re-checks ctx
-// between trial chunks, so a canceled request stops burning CPU within one
-// chunk (~mcChunk trials) per worker. A canceled run returns ctx.Err() —
+// The analytic replay aborts at its usual stride, and each worker re-checks
+// ctx between trial chunks, so a canceled request stops burning CPU within
+// one chunk (~mcChunk trials) per worker. A canceled run returns ctx.Err() —
 // never a partial estimate, which would be statistically meaningless.
 func SampleSuccessContext(ctx context.Context, cfg machine.Config, initial [][]int, ops []machine.Op, params Params, trials int, seed int64) (*SuccessEstimate, error) {
 	if trials <= 0 {

@@ -98,7 +98,7 @@ func TestSuccessEstimateBoundaries(t *testing.T) {
 // interval consistently with its mean.
 func TestSampleSuccessCarriesInterval(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	est, err := SampleSuccess(cfg, initial, ops, DefaultParams(), 4000, 11)
+	est, err := SampleSuccessContext(t.Context(), cfg, initial, ops, DefaultParams(), 4000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,18 +156,8 @@ type Report struct {
 	// MinGateFidelity is the worst single gate.
 	MinGateFidelity float64
 	// GateFidelities lists every executed gate's fidelity in trace order;
-	// consumed by the Monte Carlo sampler (SampleSuccess).
+	// consumed by the Monte Carlo sampler (SampleSuccessContext).
 	GateFidelities []float64
-}
-
-// Simulate replays the trace of compiled machine state st (starting from
-// the placement snapshot taken before compilation) under params. The initial
-// placement must be the pre-execution snapshot so chain sizes during replay
-// match what the compiler saw.
-//
-//muzzle:ctx-background legacy ctx-less API; cancelable callers use SimulateContext
-func Simulate(cfg machine.Config, initial [][]int, ops []machine.Op, params Params) (*Report, error) {
-	return SimulateContext(context.Background(), cfg, initial, ops, params)
 }
 
 // cancelCheckStride bounds how many trace ops replay between context
@@ -175,8 +165,11 @@ func Simulate(cfg machine.Config, initial [][]int, ops []machine.Op, params Para
 // overhead invisible while still bounding cancellation latency.
 const cancelCheckStride = 4096
 
-// SimulateContext is Simulate with cooperative cancellation: the replay
-// loop checks ctx every few thousand ops and aborts with ctx.Err().
+// SimulateContext replays the trace of compiled machine state st (starting
+// from the placement snapshot taken before compilation) under params. The
+// initial placement must be the pre-execution snapshot so chain sizes
+// during replay match what the compiler saw. The replay loop checks ctx
+// every few thousand ops and aborts with ctx.Err().
 func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, ops []machine.Op, params Params) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -74,7 +74,7 @@ func buildTrace(t *testing.T) (machine.Config, [][]int, []machine.Op) {
 
 func TestSimulateCounts(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	rep, err := Simulate(cfg, initial, ops, DefaultParams())
+	rep, err := SimulateContext(t.Context(), cfg, initial, ops, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSimulateParallelTraps(t *testing.T) {
 	if err := st.ApplyGate2Q("ms", 2, 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(cfg, initial, st.Ops(), DefaultParams())
+	rep, err := SimulateContext(t.Context(), cfg, initial, st.Ops(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSimulateSerialWithinTrap(t *testing.T) {
 	if err := st.ApplyGate2Q("ms", 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(cfg, initial, st.Ops(), DefaultParams())
+	rep, err := SimulateContext(t.Context(), cfg, initial, st.Ops(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSimulateShuttleDegradesFidelity(t *testing.T) {
 	if err := stA.ApplyGate2Q("ms", 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	repA, err := Simulate(cfg, initialA, stA.Ops(), DefaultParams())
+	repA, err := SimulateContext(t.Context(), cfg, initialA, stA.Ops(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSimulateShuttleDegradesFidelity(t *testing.T) {
 	if err := stB.ApplyGate2Q("ms", 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	repB, err := Simulate(cfg, initialB, stB.Ops(), DefaultParams())
+	repB, err := SimulateContext(t.Context(), cfg, initialB, stB.Ops(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,27 +203,27 @@ func TestSimulateShuttleDegradesFidelity(t *testing.T) {
 
 func TestSimulateErrors(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	if _, err := Simulate(machine.Config{}, initial, ops, DefaultParams()); err == nil {
+	if _, err := SimulateContext(t.Context(), machine.Config{}, initial, ops, DefaultParams()); err == nil {
 		t.Error("bad config accepted")
 	}
 	bad := DefaultParams()
 	bad.Time.Split = -1
-	if _, err := Simulate(cfg, initial, ops, bad); err == nil {
+	if _, err := SimulateContext(t.Context(), cfg, initial, ops, bad); err == nil {
 		t.Error("bad time params accepted")
 	}
-	if _, err := Simulate(cfg, [][]int{{0}}, ops, DefaultParams()); err == nil {
+	if _, err := SimulateContext(t.Context(), cfg, [][]int{{0}}, ops, DefaultParams()); err == nil {
 		t.Error("bad placement accepted")
 	}
 	// A trace whose 2Q gate ions were never co-located must be rejected.
 	badOps := []machine.Op{{Kind: machine.OpGate2Q, Ion: 0, Ion2: 3, Trap: 0, Trap2: -1, Gate: 0, Name: machine.NameMS}}
-	if _, err := Simulate(cfg, initial, badOps, DefaultParams()); err == nil {
+	if _, err := SimulateContext(t.Context(), cfg, initial, badOps, DefaultParams()); err == nil {
 		t.Error("non-co-located 2Q gate accepted")
 	}
 }
 
 func TestSimulateEmptyTrace(t *testing.T) {
 	cfg := cfg2()
-	rep, err := Simulate(cfg, [][]int{{0}, {1}}, nil, DefaultParams())
+	rep, err := SimulateContext(t.Context(), cfg, [][]int{{0}, {1}}, nil, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestQuickSimulateRandomTraces(t *testing.T) {
 				gateIdx++
 			}
 		}
-		rep, err := Simulate(cfg, initial, st.Ops(), DefaultParams())
+		rep, err := SimulateContext(t.Context(), cfg, initial, st.Ops(), DefaultParams())
 		if err != nil {
 			return false
 		}
@@ -344,7 +344,7 @@ func TestQuickShuttleNeverHelps(t *testing.T) {
 			if st.ApplyGate2Q("ms", q, partner, 0) != nil {
 				return 0, false
 			}
-			rep, err := Simulate(cfg, initial, st.Ops(), DefaultParams())
+			rep, err := SimulateContext(t.Context(), cfg, initial, st.Ops(), DefaultParams())
 			if err != nil {
 				return 0, false
 			}
@@ -386,7 +386,7 @@ func TestCoolingValidate(t *testing.T) {
 	p := DefaultParams()
 	p.Cooling = bad
 	cfg := cfg2()
-	if _, err := Simulate(cfg, [][]int{{0}, {1}}, nil, p); err == nil {
+	if _, err := SimulateContext(t.Context(), cfg, [][]int{{0}, {1}}, nil, p); err == nil {
 		t.Error("Simulate accepted bad cooling params")
 	}
 }
@@ -414,13 +414,13 @@ func TestCoolingBoundsChainEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hot, err := Simulate(cfg, initial, st.Ops(), DefaultParams())
+	hot, err := SimulateContext(t.Context(), cfg, initial, st.Ops(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cooledParams := DefaultParams()
 	cooledParams.Cooling = CoolingParams{Enabled: true, Threshold: 1, Time: 400}
-	cooled, err := Simulate(cfg, initial, st.Ops(), cooledParams)
+	cooled, err := SimulateContext(t.Context(), cfg, initial, st.Ops(), cooledParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestCoolingBoundsChainEnergy(t *testing.T) {
 
 func TestSampleSuccessConvergesToAnalytic(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	est, err := SampleSuccess(cfg, initial, ops, DefaultParams(), 20000, 42)
+	est, err := SampleSuccessContext(t.Context(), cfg, initial, ops, DefaultParams(), 20000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,21 +461,21 @@ func TestSampleSuccessConvergesToAnalytic(t *testing.T) {
 
 func TestSampleSuccessErrors(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	if _, err := SampleSuccess(cfg, initial, ops, DefaultParams(), 0, 1); err == nil {
+	if _, err := SampleSuccessContext(t.Context(), cfg, initial, ops, DefaultParams(), 0, 1); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := SampleSuccess(machine.Config{}, initial, ops, DefaultParams(), 10, 1); err == nil {
+	if _, err := SampleSuccessContext(t.Context(), machine.Config{}, initial, ops, DefaultParams(), 10, 1); err == nil {
 		t.Error("bad config accepted")
 	}
 }
 
 func TestSampleSuccessDeterministicSeed(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	a, err := SampleSuccess(cfg, initial, ops, DefaultParams(), 500, 7)
+	a, err := SampleSuccessContext(t.Context(), cfg, initial, ops, DefaultParams(), 500, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SampleSuccess(cfg, initial, ops, DefaultParams(), 500, 7)
+	b, err := SampleSuccessContext(t.Context(), cfg, initial, ops, DefaultParams(), 500, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestGateFidelitiesSizedOnce(t *testing.T) {
 
 func TestGateFidelitiesRecorded(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	rep, err := Simulate(cfg, initial, ops, DefaultParams())
+	rep, err := SimulateContext(t.Context(), cfg, initial, ops, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestSampleSuccessWorkerCountInvariant(t *testing.T) {
 	// (GOMAXPROCS) draw identical random streams per chunk.
 	cfg, initial, ops := buildTrace(t)
 	prev := runtime.GOMAXPROCS(1)
-	seq, err := SampleSuccess(cfg, initial, ops, DefaultParams(), 20000, 11)
+	seq, err := SampleSuccessContext(t.Context(), cfg, initial, ops, DefaultParams(), 20000, 11)
 	if err != nil {
 		runtime.GOMAXPROCS(prev)
 		t.Fatal(err)
@@ -536,7 +536,7 @@ func TestSampleSuccessWorkerCountInvariant(t *testing.T) {
 	// Pin an explicitly parallel run: on a 1-CPU host the ambient setting
 	// would make both runs single-worker and the test vacuous.
 	runtime.GOMAXPROCS(4)
-	par, err := SampleSuccess(cfg, initial, ops, DefaultParams(), 20000, 11)
+	par, err := SampleSuccessContext(t.Context(), cfg, initial, ops, DefaultParams(), 20000, 11)
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)

@@ -14,9 +14,11 @@
 //
 // Everything a grid can express is validated up front by Expand: bad
 // topology parameters (a 2-trap ring, a 0x3 grid, a disconnected custom
-// edge list), unknown compilers, and impossible capacity combinations are
-// reported as errors before any cell runs, so user-supplied grids (CLI
-// files, daemon requests) can never crash the process.
+// edge list), unknown compilers, impossible capacity combinations, and
+// grids past the size limits (MaxTraps, MaxTopologies, MaxCells, and the
+// QASM front door's circuit limits) are reported as errors before any cell
+// runs, so user-supplied grids (CLI files, daemon requests) can neither
+// crash the process nor exhaust its memory.
 //
 // Artifacts are deterministic: the same grid produces byte-identical
 // report JSON on every run. Wall-clock compile time is deliberately
@@ -29,7 +31,28 @@ import (
 	"fmt"
 
 	"muzzle"
+	"muzzle/internal/qasm"
 	"muzzle/internal/topo"
+)
+
+// Grid size limits. A grid arrives from untrusted clients (POST
+// /v1/sweeps and /v1/cells bodies of up to 4 MiB), so Expand checks these
+// before it builds anything. Circuits are held to the limits QASM jobs
+// have: qasm.MaxQubits qubits and qasm.MaxGates gates.
+const (
+	// MaxTraps caps the traps of one topology. Building a topology
+	// precomputes all-pairs paths, whose cost grows with the cube of the
+	// trap count: about 1 MB at 64 traps, 50 MB at 256 and 183 MB at 400.
+	// 64 traps is ten times the paper's L6 machine.
+	MaxTraps = 64
+	// MaxTopologies caps the topologies of one grid, so one expansion
+	// runs that precompute at most 64 times.
+	MaxTopologies = 64
+	// MaxCells caps the cells of one grid. Every cell holds an ID and a
+	// circuit builder, and a random spec's count multiplies them: a
+	// 115-byte grid of count 1,000,000 would otherwise allocate about
+	// 1 GB. 16,384 cells is over 40 times the benchmark's 384-cell sweep.
+	MaxCells = 16384
 )
 
 // Topology family names accepted by TopologySpec.
@@ -57,6 +80,20 @@ type TopologySpec struct {
 	// Name labels a custom topology (default "custom<Traps>"). Labels
 	// appear in cell IDs and must be unique within a grid.
 	Name string `json:"name,omitempty"`
+}
+
+// checkTraps rejects a topology past MaxTraps before it is built; Build
+// reports every other bad parameter. A grid's product is only taken once
+// both dimensions are within the limit, so it cannot overflow.
+func (s TopologySpec) checkTraps() error {
+	switch {
+	case s.Family == FamilyGrid && s.Rows > 0 && s.Cols > 0 &&
+		(s.Rows > MaxTraps || s.Cols > MaxTraps || s.Rows*s.Cols > MaxTraps):
+		return fmt.Errorf("grid %dx%d is past the %d-trap limit", s.Rows, s.Cols, MaxTraps)
+	case s.Family != FamilyGrid && s.Traps > MaxTraps:
+		return fmt.Errorf("%s of %d traps is past the %d-trap limit", s.Family, s.Traps, MaxTraps)
+	}
+	return nil
 }
 
 // Build constructs the topology, validating every parameter.
@@ -106,52 +143,64 @@ type circuitInstance struct {
 	build func() *muzzle.Circuit
 }
 
-// expand validates the spec and lists its circuit instances.
-func (s CircuitSpec) expand() ([]circuitInstance, error) {
+// count validates the spec, circuit sizes included, and returns how many
+// circuit instances it expands to, without building any.
+func (s CircuitSpec) count() (int, error) {
 	switch s.Kind {
 	case CircuitPaper:
-		specs := muzzle.Benchmarks()
-		out := make([]circuitInstance, len(specs))
-		for i, sp := range specs {
-			out[i] = circuitInstance{label: sp.Name, build: sp.Build}
-		}
-		return out, nil
+		return len(muzzle.Benchmarks()), nil
 	case CircuitQFT:
 		if s.Qubits < 1 {
-			return nil, fmt.Errorf("sweep: qft needs qubits >= 1, got %d", s.Qubits)
+			return 0, fmt.Errorf("qft needs qubits >= 1, got %d", s.Qubits)
 		}
-		q := s.Qubits
-		return []circuitInstance{{
-			label: fmt.Sprintf("QFT%d", q),
-			build: func() *muzzle.Circuit { return muzzle.QFT(q) },
-		}}, nil
+		if s.Qubits > qasm.MaxQubits {
+			return 0, fmt.Errorf("qft of %d qubits is past the %d-qubit limit", s.Qubits, qasm.MaxQubits)
+		}
+		// QFT(n) builds n one-qubit and n(n-1)/2 two-qubit gates.
+		if gates := s.Qubits * (s.Qubits + 1) / 2; gates > qasm.MaxGates {
+			return 0, fmt.Errorf("qft of %d qubits builds %d gates, past the %d-gate limit", s.Qubits, gates, qasm.MaxGates)
+		}
+		return 1, nil
 	case CircuitRandom:
 		if s.Qubits < 2 {
-			return nil, fmt.Errorf("sweep: random circuit needs qubits >= 2, got %d", s.Qubits)
+			return 0, fmt.Errorf("random circuit needs qubits >= 2, got %d", s.Qubits)
 		}
 		if s.Gates2Q < 0 {
-			return nil, fmt.Errorf("sweep: random circuit needs gates_2q >= 0, got %d", s.Gates2Q)
+			return 0, fmt.Errorf("random circuit needs gates_2q >= 0, got %d", s.Gates2Q)
 		}
 		if s.Count < 0 {
-			return nil, fmt.Errorf("sweep: random circuit count %d must be >= 0", s.Count)
+			return 0, fmt.Errorf("random circuit count %d must be >= 0", s.Count)
 		}
-		count := s.Count
-		if count == 0 {
-			count = 1
+		if s.Qubits > qasm.MaxQubits {
+			return 0, fmt.Errorf("random circuit of %d qubits is past the %d-qubit limit", s.Qubits, qasm.MaxQubits)
 		}
-		out := make([]circuitInstance, count)
-		for i := 0; i < count; i++ {
-			seed := s.Seed + int64(i)
-			q, g := s.Qubits, s.Gates2Q
-			out[i] = circuitInstance{
-				label: fmt.Sprintf("Random-%dq-%dg-s%d", q, g, seed),
-				build: func() *muzzle.Circuit { return muzzle.RandomCircuit(q, g, seed) },
-			}
+		// Each two-qubit gate may follow one rz, so a random circuit
+		// builds up to 2*gates_2q gates.
+		if s.Gates2Q > qasm.MaxGates/2 {
+			return 0, fmt.Errorf("random circuit of %d two-qubit gates may build past the %d-gate limit", s.Gates2Q, qasm.MaxGates)
 		}
-		return out, nil
+		return max(s.Count, 1), nil
 	default:
-		return nil, fmt.Errorf("sweep: unknown circuit kind %q (want %s|%s|%s)",
+		return 0, fmt.Errorf("unknown circuit kind %q (want %s|%s|%s)",
 			s.Kind, CircuitPaper, CircuitQFT, CircuitRandom)
+	}
+}
+
+// instance returns circuit i of a spec that count accepted, i < count.
+func (s CircuitSpec) instance(i int) circuitInstance {
+	switch s.Kind {
+	case CircuitPaper:
+		sp := muzzle.Benchmarks()[i]
+		return circuitInstance{label: sp.Name, build: sp.Build}
+	case CircuitQFT:
+		q := s.Qubits
+		return circuitInstance{label: fmt.Sprintf("QFT%d", q), build: func() *muzzle.Circuit { return muzzle.QFT(q) }}
+	default:
+		q, g, seed := s.Qubits, s.Gates2Q, s.Seed+int64(i)
+		return circuitInstance{
+			label: fmt.Sprintf("Random-%dq-%dg-s%d", q, g, seed),
+			build: func() *muzzle.Circuit { return muzzle.RandomCircuit(q, g, seed) },
+		}
 	}
 }
 
@@ -240,10 +289,10 @@ type Expanded struct {
 
 // Expand validates the grid and returns it expanded: the normalized form
 // plus the deterministic cell list. Every user-visible parameter is
-// checked here — topology families and sizes, capacity combinations,
-// compiler names, circuit specs, and label collisions — so callers (the
-// CLI, the daemon's POST /v1/sweeps) can map any error to a clean
-// rejection before work starts.
+// checked here — the size limits, topology families and sizes, capacity
+// combinations, compiler names, circuit specs, and label collisions — so
+// callers (the CLI, the daemon's POST /v1/sweeps) can map any error to a
+// clean rejection before work starts.
 func Expand(g Grid) (*Expanded, error) {
 	g = g.normalize()
 	if len(g.Topologies) == 0 {
@@ -251,6 +300,10 @@ func Expand(g Grid) (*Expanded, error) {
 	}
 	if len(g.Circuits) == 0 {
 		return nil, fmt.Errorf("sweep: grid needs at least one circuit")
+	}
+	ncells, err := g.checkLimits()
+	if err != nil {
+		return nil, err
 	}
 	seenComp := make(map[string]bool, len(g.Compilers))
 	for _, name := range g.Compilers {
@@ -299,21 +352,19 @@ func Expand(g Grid) (*Expanded, error) {
 
 	var instances []circuitInstance
 	seenCirc := make(map[string]bool)
-	for i, spec := range g.Circuits {
-		ins, err := spec.expand()
-		if err != nil {
-			return nil, fmt.Errorf("sweep: circuits[%d]: %w", i, err)
-		}
-		for _, in := range ins {
+	for _, spec := range g.Circuits {
+		n, _ := spec.count() // checkLimits accepted every spec
+		for i := range n {
+			in := spec.instance(i)
 			if seenCirc[in.label] {
 				return nil, fmt.Errorf("sweep: circuit %q appears twice in the grid", in.label)
 			}
 			seenCirc[in.label] = true
+			instances = append(instances, in)
 		}
-		instances = append(instances, ins...)
 	}
 
-	var cells []Cell
+	cells := make([]Cell, 0, ncells)
 	for _, bt := range topos {
 		for _, capacity := range g.Capacities {
 			for _, comm := range g.CommCapacities {
@@ -338,6 +389,41 @@ func Expand(g Grid) (*Expanded, error) {
 		}
 	}
 	return &Expanded{Grid: g, Cells: cells}, nil
+}
+
+// checkLimits validates the grid's sizes and circuit specs without building
+// anything, and returns its cell count: the topologies against
+// MaxTopologies and MaxTraps, every circuit spec, and the cell count
+// against MaxCells. The count is summed and multiplied out axis by axis,
+// each step checked before it is taken, so it cannot overflow.
+func (g Grid) checkLimits() (int, error) {
+	if len(g.Topologies) > MaxTopologies {
+		return 0, fmt.Errorf("sweep: grid has %d topologies, past the limit of %d", len(g.Topologies), MaxTopologies)
+	}
+	for i, spec := range g.Topologies {
+		if err := spec.checkTraps(); err != nil {
+			return 0, fmt.Errorf("sweep: topologies[%d]: %w", i, err)
+		}
+	}
+	circuits := 0
+	for i, spec := range g.Circuits {
+		n, err := spec.count()
+		if err != nil {
+			return 0, fmt.Errorf("sweep: circuits[%d]: %w", i, err)
+		}
+		if n > MaxCells-circuits {
+			return 0, fmt.Errorf("sweep: grid has more than %d cells", MaxCells)
+		}
+		circuits += n
+	}
+	cells := circuits
+	for _, n := range []int{len(g.Topologies), len(g.Capacities), len(g.CommCapacities)} {
+		if n > MaxCells/cells {
+			return 0, fmt.Errorf("sweep: grid has more than %d cells", MaxCells)
+		}
+		cells *= n
+	}
+	return cells, nil
 }
 
 // sortedOutcomes orders a cell's per-compiler outcomes by the grid's

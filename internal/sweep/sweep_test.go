@@ -351,30 +351,32 @@ func TestHashStability(t *testing.T) {
 }
 
 func TestPaperCircuitSpec(t *testing.T) {
-	ins, err := (CircuitSpec{Kind: CircuitPaper}).expand()
+	spec := CircuitSpec{Kind: CircuitPaper}
+	n, err := spec.count()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ins) != 5 {
-		t.Fatalf("paper suite = %d circuits, want 5", len(ins))
+	if n != 5 {
+		t.Fatalf("paper suite = %d circuits, want 5", n)
 	}
-	if ins[0].label != "Supremacy" {
-		t.Errorf("first paper circuit = %q", ins[0].label)
+	if l := spec.instance(0).label; l != "Supremacy" {
+		t.Errorf("first paper circuit = %q", l)
 	}
 }
 
 func TestRandomCountExpansion(t *testing.T) {
-	ins, err := (CircuitSpec{Kind: CircuitRandom, Qubits: 8, Gates2Q: 20, Seed: 5, Count: 3}).expand()
+	spec := CircuitSpec{Kind: CircuitRandom, Qubits: 8, Gates2Q: 20, Seed: 5, Count: 3}
+	n, err := spec.count()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ins) != 3 {
-		t.Fatalf("count = %d instances, want 3", len(ins))
+	if n != 3 {
+		t.Fatalf("count = %d instances, want 3", n)
 	}
 	want := []string{"Random-8q-20g-s5", "Random-8q-20g-s6", "Random-8q-20g-s7"}
-	for i, in := range ins {
-		if in.label != want[i] {
-			t.Errorf("instance %d label = %q, want %q", i, in.label, want[i])
+	for i := range n {
+		if l := spec.instance(i).label; l != want[i] {
+			t.Errorf("instance %d label = %q, want %q", i, l, want[i])
 		}
 	}
 }

@@ -42,8 +42,13 @@ type JSONTrace struct {
 	Ops              []JSONOp `json:"ops"`
 }
 
-// WriteJSON serializes the compilation result as indented JSON.
+// WriteJSON serializes the compilation result as indented JSON. A
+// summary-only result, such as one decoded from the compile cache's disk
+// tier, has no machine to export and is an error.
 func WriteJSON(w io.Writer, res *compiler.Result) error {
+	if err := res.Config.Validate(); err != nil {
+		return err
+	}
 	jt := JSONTrace{
 		Circuit:          res.Circ.Name,
 		Qubits:           res.Circ.NumQubits,

@@ -16,7 +16,7 @@ func compiled(t *testing.T) *compiler.Result {
 	t.Helper()
 	cfg := machine.Config{Topology: topo.Linear(3), Capacity: 6, CommCapacity: 2}
 	c := bench.Random(10, 40, 99)
-	res, err := baseline.New().Compile(c, cfg)
+	res, err := baseline.New().CompileContext(t.Context(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func FuzzVerify(f *testing.F) {
 		for name, comp := range map[string]*compiler.Compiler{
 			"baseline": baseline.New(), "optimized": core.New(),
 		} {
-			res, err := comp.Compile(circ, cfg)
+			res, err := comp.CompileContext(t.Context(), circ, cfg)
 			if err != nil {
 				// Some fuzzed machines are legitimately too tight to route
 				// (saturated corridors); a structured compile error is the

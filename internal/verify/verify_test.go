@@ -290,7 +290,7 @@ func TestReplayConservation(t *testing.T) {
 
 func TestResultMetadataChecks(t *testing.T) {
 	comp := core.New()
-	res, err := comp.Compile(bench.QFT(8), machine.PaperL6())
+	res, err := comp.CompileContext(t.Context(), bench.QFT(8), machine.PaperL6())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestPaperSuiteZeroViolations(t *testing.T) {
 	for _, spec := range bench.Catalog() {
 		c := spec.Build()
 		for name, comp := range compilers() {
-			res, err := comp.Compile(c, machine.PaperL6())
+			res, err := comp.CompileContext(t.Context(), c, machine.PaperL6())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", spec.Name, name, err)
 			}
@@ -429,7 +429,7 @@ func TestTopologiesZeroViolations(t *testing.T) {
 				}
 				circ := bench.Random(qubits, 40, seed)
 				for cname, comp := range compilers() {
-					res, err := comp.Compile(circ, cfg)
+					res, err := comp.CompileContext(t.Context(), circ, cfg)
 					if err != nil {
 						t.Fatalf("%s cap=%d %s seed=%d: %v", tname, sz.capacity, cname, seed, err)
 					}

@@ -56,13 +56,6 @@
 // the check on for every evaluation run (violations fail with ErrVerify),
 // and MUZZLE_VERIFY=1 forces it from the environment.
 //
-// # Deprecated free functions
-//
-// The original flat-function surface (Compile, CompileBaseline, Evaluate,
-// EvaluateNISQ, EvaluateRandom, Simulate, ...) remains as thin wrappers
-// over the paper's fixed two-compiler setup with context.Background(); new
-// code should construct a Pipeline instead.
-//
 // The subpackages under internal/ hold the implementation; this package is
 // the stable public surface re-exporting what downstream users need.
 package muzzle
@@ -115,9 +108,6 @@ type SimReport = sim.Report
 // BenchSpec describes one benchmark of the paper's suite.
 type BenchSpec = bench.Spec
 
-// EvalOptions configure an evaluation run over the benchmark suite.
-type EvalOptions = eval.Options
-
 // EvalResult holds per-compiler outcomes for one circuit; the paper's
 // artifacts read its reference pair (Pair, Reduction, Improvement).
 type EvalResult = eval.BenchResult
@@ -156,31 +146,6 @@ func Decompose(c *Circuit) (*Circuit, error) { return circuit.Decompose(c) }
 // capacity 2 (Section IV-A).
 func PaperMachine() MachineConfig { return machine.PaperL6() }
 
-// LinearMachine returns an n-trap linear machine.
-//
-// Deprecated: LinearMachine panics on invalid parameters; user-supplied
-// values must go through NewLinearMachine, which validates and returns an
-// error instead.
-func LinearMachine(traps, capacity, commCapacity int) MachineConfig {
-	return MachineConfig{Topology: topo.Linear(traps), Capacity: capacity, CommCapacity: commCapacity}
-}
-
-// GridMachine returns a rows x cols mesh machine.
-//
-// Deprecated: GridMachine panics on invalid parameters; user-supplied
-// values must go through NewGridMachine.
-func GridMachine(rows, cols, capacity, commCapacity int) MachineConfig {
-	return MachineConfig{Topology: topo.Grid(rows, cols), Capacity: capacity, CommCapacity: commCapacity}
-}
-
-// RingMachine returns an n-trap ring machine.
-//
-// Deprecated: RingMachine panics on invalid parameters; user-supplied
-// values must go through NewRingMachine.
-func RingMachine(traps, capacity, commCapacity int) MachineConfig {
-	return MachineConfig{Topology: topo.Ring(traps), Capacity: capacity, CommCapacity: commCapacity}
-}
-
 // validatedMachine assembles a MachineConfig from a topology-constructor
 // result, folding both the topology error and capacity validation into one
 // structured error. It backs every user-facing machine constructor.
@@ -196,9 +161,7 @@ func validatedMachine(op string, t *Topology, err error, capacity, commCapacity 
 }
 
 // NewLinearMachine returns an n-trap linear machine, validating every
-// parameter (traps >= 1, capacity > 0, 0 <= commCapacity < capacity). It
-// is the error-returning counterpart of LinearMachine for user-supplied
-// configuration (CLI flags, service requests, sweep grids).
+// parameter (traps >= 1, capacity > 0, 0 <= commCapacity < capacity).
 func NewLinearMachine(traps, capacity, commCapacity int) (MachineConfig, error) {
 	t, err := topo.NewLinear(traps)
 	return validatedMachine("NewLinearMachine", t, err, capacity, commCapacity)
@@ -244,56 +207,19 @@ func NewOptimizedCompilerWithOptions(o OptimizerOptions) *Compiler {
 // trap-0-first re-balancing, no re-ordering.
 func NewBaselineCompiler() *Compiler { return baseline.New() }
 
-// Compile compiles a circuit with the paper's optimized compiler.
-//
-// Deprecated: use Pipeline.Compile, which adds context cancellation and
-// configurable compilers.
-func Compile(c *Circuit, cfg MachineConfig) (*CompileResult, error) {
-	return core.New().Compile(c, cfg)
-}
-
-// CompileBaseline compiles a circuit with the baseline compiler.
-//
-// Deprecated: use Pipeline.CompileWith(ctx, "baseline", c).
-func CompileBaseline(c *Circuit, cfg MachineConfig) (*CompileResult, error) {
-	return baseline.New().Compile(c, cfg)
-}
-
 // DefaultSimParams returns the simulator constants used by the evaluation
 // (see DESIGN.md "Model constants").
 func DefaultSimParams() SimParams { return sim.DefaultParams() }
-
-// Simulate replays a compiled program under the default model constants,
-// returning duration and program-fidelity estimates.
-//
-// Deprecated: use Pipeline.Simulate, which adds context cancellation and
-// per-pipeline simulator constants.
-func Simulate(res *CompileResult) (*SimReport, error) {
-	return sim.Simulate(res.Config, res.InitialPlacement, res.Ops, sim.DefaultParams())
-}
-
-// SimulateWith replays a compiled program under custom constants.
-func SimulateWith(res *CompileResult, params SimParams) (*SimReport, error) {
-	return sim.Simulate(res.Config, res.InitialPlacement, res.Ops, params)
-}
 
 // SuccessEstimate is a Monte Carlo program-success estimate with a
 // binomial confidence interval.
 type SuccessEstimate = sim.SuccessEstimate
 
-// SampleSuccess estimates program success probability by Monte Carlo:
-// each gate fails independently with probability 1 - F(gate); a trial
-// succeeds when no gate fails.
-//
-// Deprecated: use SampleSuccessContext, which cancels the sampling workers
-// when ctx fires instead of running every trial to completion.
-func SampleSuccess(res *CompileResult, trials int, seed int64) (*SuccessEstimate, error) {
-	return sim.SampleSuccess(res.Config, res.InitialPlacement, res.Ops, sim.DefaultParams(), trials, seed)
-}
-
-// SampleSuccessContext is SampleSuccess with cooperative cancellation: the
-// analytic replay and every sampling worker observe ctx, so a canceled
-// caller stops the estimate within one trial chunk.
+// SampleSuccessContext estimates program success probability by Monte
+// Carlo: each gate fails independently with probability 1 - F(gate); a
+// trial succeeds when no gate fails. The analytic replay and every sampling
+// worker observe ctx, so a canceled caller stops the estimate within one
+// trial chunk.
 func SampleSuccessContext(ctx context.Context, res *CompileResult, trials int, seed int64) (*SuccessEstimate, error) {
 	return sim.SampleSuccessContext(ctx, res.Config, res.InitialPlacement, res.Ops, sim.DefaultParams(), trials, seed)
 }
@@ -308,39 +234,6 @@ func QFT(n int) *Circuit { return bench.QFT(n) }
 // gates2q two-qubit gates.
 func RandomCircuit(qubits, gates2q int, seed int64) *Circuit {
 	return bench.Random(qubits, gates2q, seed)
-}
-
-// DefaultEvalOptions returns the paper's evaluation setup.
-//
-// Deprecated: construct a Pipeline with NewPipeline instead; its zero
-// options are this setup.
-func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
-
-// Evaluate runs the configured compilers on one circuit and simulates the
-// traces.
-//
-// Deprecated: use Pipeline.EvaluateCircuit, which adds context
-// cancellation.
-func Evaluate(c *Circuit, opt EvalOptions) (*EvalResult, error) {
-	return eval.RunCircuit(context.Background(), c, opt)
-}
-
-// EvaluateNISQ runs the five NISQ benchmarks through the configured
-// compilers.
-//
-// Deprecated: use Pipeline.EvaluateNISQ, which adds context cancellation,
-// streaming, and partial-failure results.
-func EvaluateNISQ(opt EvalOptions) ([]*EvalResult, error) {
-	return eval.RunNISQ(context.Background(), opt)
-}
-
-// EvaluateRandom runs the random benchmark suite through the configured
-// compilers.
-//
-// Deprecated: use Pipeline.EvaluateRandom, which adds context
-// cancellation, streaming, and partial-failure results.
-func EvaluateRandom(opt EvalOptions) ([]*EvalResult, error) {
-	return eval.RunRandom(context.Background(), opt)
 }
 
 // FormatTableII renders the shuttle-reduction table (paper Table II).

@@ -2,21 +2,45 @@ package muzzle
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+
+	"muzzle/internal/eval"
 )
+
+// linearMachine builds a linear test machine through the validating
+// constructor.
+func linearMachine(t *testing.T, traps, capacity, commCapacity int) MachineConfig {
+	t.Helper()
+	cfg, err := NewLinearMachine(traps, capacity, commCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// testPipeline is the paper's pipeline on a custom machine.
+func testPipeline(t *testing.T, cfg MachineConfig) *Pipeline {
+	t.Helper()
+	p, err := NewPipeline(WithMachine(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func TestQuickstartFlow(t *testing.T) {
 	c := QFT(12)
-	cfg := LinearMachine(3, 8, 2)
-	res, err := Compile(c, cfg)
+	p := testPipeline(t, linearMachine(t, 3, 8, 2))
+	res, err := p.Compile(t.Context(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Gates2Q != 12*11 {
 		t.Errorf("QFT(12) executed %d 2Q gates, want %d", res.Gates2Q, 12*11)
 	}
-	rep, err := Simulate(res)
+	rep, err := p.Simulate(t.Context(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +54,12 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestBaselineVsOptimizedFacade(t *testing.T) {
 	c := RandomCircuit(20, 150, 5)
-	cfg := LinearMachine(4, 8, 2)
-	rb, err := CompileBaseline(c, cfg)
+	p := testPipeline(t, linearMachine(t, 4, 8, 2))
+	rb, err := p.CompileWith(t.Context(), CompilerBaseline, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Compile(c, cfg)
+	ro, err := p.Compile(t.Context(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +96,19 @@ func TestMachineConstructors(t *testing.T) {
 	if PaperMachine().Capacity != 17 {
 		t.Error("PaperMachine capacity wrong")
 	}
-	if GridMachine(2, 3, 8, 2).Topology.NumTraps() != 6 {
-		t.Error("GridMachine traps wrong")
+	grid, err := NewGridMachine(2, 3, 8, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if RingMachine(5, 8, 2).Topology.Diameter() != 2 {
-		t.Error("RingMachine diameter wrong")
+	if grid.Topology.NumTraps() != 6 {
+		t.Error("NewGridMachine traps wrong")
+	}
+	ring, err := NewRingMachine(5, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ring.Topology.Diameter() != 2 {
+		t.Error("NewRingMachine diameter wrong")
 	}
 	if len(Benchmarks()) != 5 {
 		t.Error("Benchmarks catalog wrong")
@@ -84,9 +116,8 @@ func TestMachineConstructors(t *testing.T) {
 }
 
 func TestEvaluateFacade(t *testing.T) {
-	opt := DefaultEvalOptions()
-	opt.Config = LinearMachine(3, 8, 2)
-	r, err := Evaluate(RandomCircuit(14, 80, 11), opt)
+	p := testPipeline(t, linearMachine(t, 3, 8, 2))
+	r, err := p.EvaluateCircuit(t.Context(), RandomCircuit(14, 80, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +137,7 @@ func TestEvaluateFacade(t *testing.T) {
 }
 
 func TestTraceFacade(t *testing.T) {
-	res, err := Compile(RandomCircuit(10, 30, 2), LinearMachine(3, 6, 2))
+	res, err := testPipeline(t, linearMachine(t, 3, 6, 2)).Compile(t.Context(), RandomCircuit(10, 30, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +157,30 @@ func TestTraceFacade(t *testing.T) {
 	}
 }
 
+// TestTraceExportsRejectSummaryOnly: a result served from the disk cache
+// keeps its counters but no machine, placement or trace. Every trace export
+// must return an error for it instead of panicking.
+func TestTraceExportsRejectSummaryOnly(t *testing.T) {
+	p := testPipeline(t, linearMachine(t, 3, 6, 2))
+	r, err := p.EvaluateCircuit(t.Context(), RandomCircuit(10, 30, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, opt := eval.EncodeResult(r).BenchResult().Pair()
+	for name, export := range map[string]func(io.Writer, *CompileResult) error{
+		"WriteTraceJSON":   WriteTraceJSON,
+		"RenderTrace":      RenderTrace,
+		"WriteScheduleSVG": WriteScheduleSVG,
+	} {
+		if err := export(io.Discard, opt.Result); err == nil {
+			t.Errorf("%s accepted a summary-only result", name)
+		}
+	}
+}
+
 func TestAblationFacade(t *testing.T) {
 	c := RandomCircuit(16, 100, 3)
-	cfg := LinearMachine(4, 6, 2)
+	cfg := linearMachine(t, 4, 6, 2)
 	variants := map[string]*Compiler{
 		"full":        NewOptimizedCompilerWithOptions(OptimizerOptions{}),
 		"no-reorder":  NewOptimizedCompilerWithOptions(OptimizerOptions{DisableReorder: true}),
@@ -137,7 +189,7 @@ func TestAblationFacade(t *testing.T) {
 	}
 	shuttles := map[string]int{}
 	for name, comp := range variants {
-		res, err := comp.Compile(c, cfg)
+		res, err := comp.CompileContext(t.Context(), c, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -149,11 +201,11 @@ func TestAblationFacade(t *testing.T) {
 }
 
 func TestSampleSuccessFacade(t *testing.T) {
-	res, err := Compile(QFT(8), LinearMachine(2, 6, 2))
+	res, err := testPipeline(t, linearMachine(t, 2, 6, 2)).Compile(t.Context(), QFT(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := SampleSuccess(res, 2000, 1)
+	est, err := SampleSuccessContext(t.Context(), res, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +220,7 @@ func TestSampleSuccessFacade(t *testing.T) {
 func TestExactFacade(t *testing.T) {
 	c := NewCircuit("tiny", 4)
 	c.Add2Q("cx", 0, 2)
-	cfg := LinearMachine(2, 4, 1)
+	cfg := linearMachine(t, 2, 4, 1)
 	opt, err := ExactMinShuttles(c, cfg, [][]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +232,8 @@ func TestExactFacade(t *testing.T) {
 
 func TestMapperFacade(t *testing.T) {
 	c := RandomCircuit(12, 60, 4)
-	cfg := LinearMachine(3, 6, 2)
-	res, err := NewOptimizedCompiler().CompileWithMapper(c, cfg, RefinedMapper{})
+	cfg := linearMachine(t, 3, 6, 2)
+	res, err := NewOptimizedCompiler().CompileWithMapperContext(t.Context(), c, cfg, RefinedMapper{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +246,7 @@ func TestMapperFacade(t *testing.T) {
 }
 
 func TestScheduleSVGFacade(t *testing.T) {
-	res, err := Compile(RandomCircuit(8, 20, 2), LinearMachine(2, 6, 2))
+	res, err := testPipeline(t, linearMachine(t, 2, 6, 2)).Compile(t.Context(), RandomCircuit(8, 20, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

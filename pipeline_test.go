@@ -10,7 +10,7 @@ import (
 
 // testMachine is a small machine that keeps pipeline tests fast (4 traps x
 // 6 usable slots = 24 qubits).
-func testMachine() MachineConfig { return LinearMachine(4, 8, 2) }
+func testMachine(t *testing.T) MachineConfig { return linearMachine(t, 4, 8, 2) }
 
 func TestNewPipelineDefaultsAreThePaperSetup(t *testing.T) {
 	p, err := NewPipeline()
@@ -28,95 +28,6 @@ func TestNewPipelineDefaultsAreThePaperSetup(t *testing.T) {
 	}
 	if got := len(p.RandomCircuits()); got != 120 {
 		t.Errorf("default random suite has %d circuits, want 120", got)
-	}
-}
-
-// TestPipelineMatchesLegacyPath pins the tentpole invariant: the zero-option
-// Pipeline produces the same shuttle counts as the legacy free-function
-// path on the same circuit (both paths share the paper's configuration).
-func TestPipelineMatchesLegacyPath(t *testing.T) {
-	ctx := context.Background()
-	c := RandomCircuit(20, 150, 5)
-	p, err := NewPipeline(WithMachine(testMachine()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legacyOpt, err := Compile(c, testMachine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyBase, err := CompileBaseline(c, testMachine())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	viaPipeline, err := p.Compile(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaPipeline.Shuttles != legacyOpt.Shuttles {
-		t.Errorf("pipeline optimized shuttles %d != legacy %d", viaPipeline.Shuttles, legacyOpt.Shuttles)
-	}
-	viaName, err := p.CompileWith(ctx, CompilerBaseline, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaName.Shuttles != legacyBase.Shuttles {
-		t.Errorf("pipeline baseline shuttles %d != legacy %d", viaName.Shuttles, legacyBase.Shuttles)
-	}
-
-	// Evaluate must agree with the legacy Evaluate on both outcomes.
-	legacyEvalOpt := DefaultEvalOptions()
-	legacyEvalOpt.Config = testMachine()
-	legacyRes, err := Evaluate(c, legacyEvalOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeRes, err := p.EvaluateCircuit(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, lo := legacyRes.Pair()
-	pb, po := pipeRes.Pair()
-	if lb.Result.Shuttles != pb.Result.Shuttles || lo.Result.Shuttles != po.Result.Shuttles {
-		t.Errorf("pipeline eval (%d/%d) != legacy eval (%d/%d)",
-			pb.Result.Shuttles, po.Result.Shuttles, lb.Result.Shuttles, lo.Result.Shuttles)
-	}
-}
-
-// TestPipelineNISQMatchesLegacy runs the full paper NISQ evaluation through
-// both the Pipeline and the legacy path and requires identical Table II
-// shuttle counts (the acceptance invariant for the API redesign).
-func TestPipelineNISQMatchesLegacy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full NISQ evaluation in -short mode")
-	}
-	ctx := context.Background()
-	legacy, err := EvaluateNISQ(DefaultEvalOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPipeline, err := p.EvaluateNISQ(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != len(viaPipeline) {
-		t.Fatalf("result counts differ: %d vs %d", len(legacy), len(viaPipeline))
-	}
-	for i := range legacy {
-		lb, lo := legacy[i].Pair()
-		pb, po := viaPipeline[i].Pair()
-		if legacy[i].Name != viaPipeline[i].Name ||
-			lb.Result.Shuttles != pb.Result.Shuttles ||
-			lo.Result.Shuttles != po.Result.Shuttles {
-			t.Errorf("%s: pipeline (%d/%d) != legacy (%d/%d)", legacy[i].Name,
-				pb.Result.Shuttles, po.Result.Shuttles, lb.Result.Shuttles, lo.Result.Shuttles)
-		}
 	}
 }
 
@@ -186,7 +97,7 @@ func TestThirdCompilerInEvaluate(t *testing.T) {
 	}
 
 	p, err := NewPipeline(
-		WithMachine(testMachine()),
+		WithMachine(testMachine(t)),
 		WithCompilers(CompilerBaseline, CompilerOptimized, name),
 	)
 	if err != nil {
@@ -270,7 +181,7 @@ func TestEvaluateTimeout(t *testing.T) {
 func TestEvaluateStreamAndProgress(t *testing.T) {
 	var events []EvalEvent
 	p, err := NewPipeline(
-		WithMachine(testMachine()),
+		WithMachine(testMachine(t)),
 		WithProgress(func(ev EvalEvent) { events = append(events, ev) }),
 	)
 	if err != nil {
@@ -308,7 +219,7 @@ func TestEvaluateStreamAndProgress(t *testing.T) {
 func TestPipelineSimulateAndMapper(t *testing.T) {
 	ctx := context.Background()
 	p, err := NewPipeline(
-		WithMachine(testMachine()),
+		WithMachine(testMachine(t)),
 		WithMapper(RefinedMapper{}),
 		WithSimParams(DefaultSimParams()),
 	)
@@ -332,7 +243,7 @@ func TestPipelineSimulateAndMapper(t *testing.T) {
 }
 
 func TestPipelineCompileUnknownName(t *testing.T) {
-	p, err := NewPipeline(WithMachine(testMachine()))
+	p, err := NewPipeline(WithMachine(testMachine(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +257,7 @@ func TestPipelineCompileUnknownName(t *testing.T) {
 // TestPipelinePartialFailure: Evaluate keeps completed circuits when one
 // circuit cannot compile.
 func TestPipelinePartialFailure(t *testing.T) {
-	p, err := NewPipeline(WithMachine(testMachine()))
+	p, err := NewPipeline(WithMachine(testMachine(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +342,7 @@ func TestWithCachePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(WithMachine(testMachine()), WithCache(cache))
+	p, err := NewPipeline(WithMachine(testMachine(t)), WithCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +372,7 @@ func TestWithCachePipeline(t *testing.T) {
 		t.Fatalf("different circuit should miss: %+v", s)
 	}
 	// A custom mapper bypasses the cache entirely.
-	pm, err := NewPipeline(WithMachine(testMachine()), WithCache(cache), WithMapper(RoundRobinMapper{}))
+	pm, err := NewPipeline(WithMachine(testMachine(t)), WithCache(cache), WithMapper(RoundRobinMapper{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +395,7 @@ func TestWithCachePipeline(t *testing.T) {
 func TestWithProgressComposes(t *testing.T) {
 	var order []string
 	p, err := NewPipeline(
-		WithMachine(testMachine()),
+		WithMachine(testMachine(t)),
 		WithProgress(func(ev EvalEvent) {
 			if ev.Kind == EvalCompleted {
 				order = append(order, "first")
