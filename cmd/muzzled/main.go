@@ -45,7 +45,7 @@
 //	POST   /v1/sweeps           submit a scenario-sweep grid
 //	POST   /v1/cells            execute one sweep cell synchronously (the
 //	                            distributed-sweep worker endpoint; see
-//	                            muzzlecoord)
+//	                            muzzlesweep -workers)
 //	GET    /v1/compilers        compiler registry listing
 //	GET    /healthz             liveness ("ok" or "draining") + queue depth
 //	                            + worker identity

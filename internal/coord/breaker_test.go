@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"muzzle/internal/coord"
-	"muzzle/internal/service"
 )
 
 // A worker whose /healthz stays green while its dispatches fail exercises
@@ -20,7 +19,7 @@ import (
 func TestBreakerOpensThenRecoversViaHalfOpenTrial(t *testing.T) {
 	var fails atomic.Int64
 	w := newFakeWorker(t, 2)
-	w.onCell = func(rw http.ResponseWriter, _ *http.Request, _ service.CellRequest, _ int) bool {
+	w.onCell = func(rw http.ResponseWriter, _ *http.Request, _ coord.CellRequest, _ int) bool {
 		// First three dispatches fail; /healthz keeps answering "ok".
 		if fails.Add(1) <= 3 {
 			http.Error(rw, "flaky route", http.StatusBadGateway)
@@ -70,7 +69,7 @@ func TestBreakerOpensThenRecoversViaHalfOpenTrial(t *testing.T) {
 func TestBreakerBlocksDispatchDuringCooldown(t *testing.T) {
 	var openedAt atomic.Int64 // unix nanos of the opening fault
 	w := newFakeWorker(t, 2)
-	w.onCell = func(rw http.ResponseWriter, _ *http.Request, _ service.CellRequest, arrival int) bool {
+	w.onCell = func(rw http.ResponseWriter, _ *http.Request, _ coord.CellRequest, arrival int) bool {
 		if arrival < 2 {
 			if arrival == 1 {
 				openedAt.Store(time.Now().UnixNano())
@@ -108,7 +107,7 @@ func TestBreakerBlocksDispatchDuringCooldown(t *testing.T) {
 func TestBreakerDisabled(t *testing.T) {
 	var fails atomic.Int64
 	w := newFakeWorker(t, 2)
-	w.onCell = func(rw http.ResponseWriter, _ *http.Request, _ service.CellRequest, _ int) bool {
+	w.onCell = func(rw http.ResponseWriter, _ *http.Request, _ coord.CellRequest, _ int) bool {
 		if fails.Add(1) <= 5 {
 			http.Error(rw, "flaky route", http.StatusBadGateway)
 			return true

@@ -172,11 +172,7 @@ func TestChaosSweepSurvivesSeededFaultSchedule(t *testing.T) {
 
 	// Invariant: artifacts byte-identical to a fault-free single-node run.
 	localDir := t.TempDir()
-	exp, err := sweep.Expand(e2eGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRep, err := exp.RunDir(t.Context(), localDir, sweep.Options{Flight: muzzle.NewFlight()})
+	localRep, err := inProcess(t, coord.Config{Flight: muzzle.NewFlight()}).RunDir(t.Context(), e2eGrid(), localDir)
 	if err != nil || localRep.Failures() != 0 {
 		t.Fatalf("fault-free reference run failed: %v (%d failures)", err, localRep.Failures())
 	}

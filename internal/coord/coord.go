@@ -1,7 +1,10 @@
-// Package coord is the distributed sweep coordinator: it fans the
-// deterministic cell list of an expanded sweep grid out across N muzzled
-// workers over HTTP (POST /v1/cells) and merges the results into exactly
-// the artifacts a local run would produce.
+// Package coord runs the cells of an expanded sweep grid: it is the one
+// executor behind muzzlesweep and the daemon's /v1/sweeps jobs. A
+// Coordinator with no worker URLs runs cells in this process through
+// sweep's RunCell; with URLs it fans the indexed cell list out across
+// muzzled workers over HTTP (POST /v1/cells). Either way it merges the
+// results into the same artifacts, and retry, persistence, resume,
+// cancellation, and report writing exist once.
 //
 // The design leans on three properties the rest of the repo already
 // guarantees:
@@ -14,10 +17,10 @@
 //     point every worker's -cache-dir at one shared directory and
 //     overlapping cells across workers — including a cell re-dispatched
 //     after a worker died mid-flight — cost one compile fleet-wide.
-//   - The sweep.Dir manifest layout is the durable merge point: the
-//     coordinator persists completed cells through the same atomic
-//     tmp+fsync+rename path as a local run, so a distributed run directory
-//     is resumable by — and byte-compatible with — cmd/muzzlesweep.
+//   - The sweep.Dir manifest layout is the durable merge point: completed
+//     cells are persisted through its atomic tmp+fsync+rename path, so a
+//     run directory started in process can be finished on workers and
+//     vice versa.
 //
 // Dispatch respects worker backpressure: a 429 from a worker's admission
 // queue is honored with its Retry-After estimate plus jitter (and never
@@ -35,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"muzzle"
 	"muzzle/internal/faults"
 	"muzzle/internal/sweep"
 )
@@ -50,21 +54,29 @@ var errRunComplete = errors.New("coord: run complete")
 
 // Config assembles a Coordinator.
 type Config struct {
-	// Workers are the muzzled base URLs ("http://host:8077"), at least one.
+	// Workers are the muzzled base URLs ("http://host:8077") that run the
+	// cells. Empty runs them in this process.
 	Workers []string
+	// Cache and Flight serve cells run in this process: Cache is the
+	// shared content-addressed compile cache, and Flight coalesces cells
+	// whose coordinates are concurrently identical. Workers use their own.
+	Cache  *muzzle.Cache
+	Flight *muzzle.Flight
 	// Client issues all worker HTTP requests (default: a plain client;
 	// per-request deadlines come from CellTimeout/ProbeTimeout).
 	Client *http.Client
-	// CellTimeout bounds one dispatch attempt of one cell (default 10m).
-	// A worker that exceeds it is treated as failed for that attempt and
-	// the cell is reassigned.
+	// CellTimeout bounds one dispatch attempt of one cell to a worker
+	// (default 10m). A worker that exceeds it is treated as failed for that
+	// attempt and the cell is reassigned. Cells run in this process have
+	// no deadline of their own.
 	CellTimeout time.Duration
 	// MaxAttempts is the per-cell dispatch budget (default 3): failed
 	// attempts — transport errors, 5xx, timeouts — beyond it record the
 	// cell as failed in the report. 429 backpressure retries are free.
 	MaxAttempts int
 	// PerWorkerInFlight bounds concurrently dispatched cells per worker
-	// (0 = the worker pool size advertised by its /healthz, min 1).
+	// (0 = the worker pool size advertised by its /healthz, min 1, or one
+	// per CPU in process).
 	PerWorkerInFlight int
 	// ProbeInterval is the health re-probe cadence for unhealthy workers
 	// (default 2s); ProbeTimeout bounds one probe (default 5s).
@@ -91,11 +103,7 @@ type Config struct {
 	// scope — the chaos tests' hook for latency, connection resets, and
 	// injected 5xx. Empty in production.
 	FaultScope string
-	// DirFaultScope, when non-empty, subjects RunDir's artifact writes to
-	// the fault injector under this scope. Tests only.
-	DirFaultScope string
-	// Verify asks workers to run the independent schedule verifier on
-	// every cell.
+	// Verify runs the independent schedule verifier on every cell.
 	Verify bool
 	// OnCell, when non-nil, receives each finished cell's report in
 	// completion order; it is never invoked concurrently with itself.
@@ -140,33 +148,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator shards sweep cells across a fixed worker fleet. Counters are
-// cumulative across runs; the zero value is not usable — construct with
-// New.
+// Coordinator runs sweep cells on a fixed set of workers: muzzled daemons,
+// or this process. Counters are cumulative across runs; the zero value is
+// not usable — construct with New.
 type Coordinator struct {
 	cfg     Config
 	workers []*worker
 	met     counters
 }
 
-// New validates the worker list and returns a coordinator. Workers are not
-// probed here — Run probes before dispatching.
+// New validates the worker list and returns a coordinator; with no
+// workers it runs cells in this process. Workers are not probed here —
+// Run probes before dispatching.
 func New(cfg Config) (*Coordinator, error) {
-	if len(cfg.Workers) == 0 {
-		return nil, errors.New("coord: need at least one worker URL")
-	}
 	cfg = cfg.withDefaults()
 	c := &Coordinator{cfg: cfg}
+	if len(cfg.Workers) == 0 {
+		c.workers = []*worker{{name: "in-process", runner: inProcess{}}}
+		return c, nil
+	}
 	seen := make(map[string]bool, len(cfg.Workers))
 	for _, u := range cfg.Workers {
-		w, err := newWorker(u, cfg.Client)
+		w, err := newDaemonWorker(u)
 		if err != nil {
 			return nil, err
 		}
-		if seen[w.url] {
-			return nil, fmt.Errorf("coord: worker %s listed twice", w.url)
+		if seen[w.name] {
+			return nil, fmt.Errorf("coord: worker %s listed twice", w.name)
 		}
-		seen[w.url] = true
+		seen[w.name] = true
 		c.workers = append(c.workers, w)
 	}
 	return c, nil
@@ -179,8 +189,12 @@ type task struct {
 	attempts int
 }
 
-// Run executes the grid across the fleet without persistence and returns
-// the aggregated report — the in-memory analogue of sweep.Run.
+// Run executes the grid without persistence and returns the aggregated
+// report. Per-cell failures (a circuit too large for a machine point) are
+// recorded in the cell's Error field and the run continues. A run cut
+// short — its context ended, or no worker stayed healthy — returns the
+// cause with the partial report, owed cells marked with it; the report is
+// nil only when the grid does not expand.
 func (c *Coordinator) Run(ctx context.Context, g sweep.Grid) (*sweep.Report, error) {
 	e, err := sweep.Expand(g)
 	if err != nil {
@@ -189,10 +203,12 @@ func (c *Coordinator) Run(ctx context.Context, g sweep.Grid) (*sweep.Report, err
 	return c.run(ctx, e, nil)
 }
 
-// RunDir executes the grid across the fleet with the resumable sweep.Dir
-// manifest layout: completed cells land under dir/cells/ exactly as a
-// local muzzlesweep run would write them, and a directory started by
-// either side can be finished by the other.
+// RunDir is Run with the resumable sweep.Dir layout: every completed cell
+// is persisted under dir/cells/ as it finishes, so an interrupted run
+// re-run over the same directory executes only the cells still owed, and
+// a finished run writes dir/report.json and dir/report.csv. A directory
+// holding a different grid is rejected, with a nil report, rather than
+// overwritten.
 func (c *Coordinator) RunDir(ctx context.Context, g sweep.Grid, dir string) (*sweep.Report, error) {
 	e, err := sweep.Expand(g)
 	if err != nil {
@@ -202,26 +218,11 @@ func (c *Coordinator) RunDir(ctx context.Context, g sweep.Grid, dir string) (*sw
 	if err != nil {
 		return nil, err
 	}
-	if c.cfg.DirFaultScope != "" {
-		d.SetFaultScope(c.cfg.DirFaultScope)
-	}
 	return c.run(ctx, e, d)
 }
 
 // run is the dispatch engine shared by Run and RunDir.
 func (c *Coordinator) run(ctx context.Context, e *sweep.Expanded, d *sweep.Dir) (*sweep.Report, error) {
-	// Probe the fleet up front: a run with zero reachable workers should
-	// fail before touching the cell list, not time out cell by cell.
-	healthyAtStart := 0
-	for _, w := range c.workers {
-		if w.probe(ctx, c.cfg) {
-			healthyAtStart++
-		}
-	}
-	if healthyAtStart == 0 {
-		return nil, fmt.Errorf("%w (probed %d)", ErrNoWorkers, len(c.workers))
-	}
-
 	var preloaded map[int]sweep.CellReport
 	if d != nil {
 		preloaded = d.Preloaded()
@@ -250,6 +251,20 @@ func (c *Coordinator) run(ctx context.Context, e *sweep.Expanded, d *sweep.Dir) 
 
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(errRunComplete)
+
+	// Probe the fleet up front: a run with zero reachable workers ends
+	// here, before dispatching, instead of timing out cell by cell — its
+	// slots find the context canceled and exit at once. A context that
+	// ends mid-probe keeps its own cause.
+	healthy := 0
+	for _, w := range c.workers {
+		if w.probe(runCtx, c.cfg) {
+			healthy++
+		}
+	}
+	if healthy == 0 {
+		cancel(fmt.Errorf("%w (probed %d)", ErrNoWorkers, len(c.workers)))
+	}
 
 	// The tasks channel holds every not-yet-completed cell; its capacity
 	// covers all of them, so requeues (backpressure, reassignment) never
@@ -313,7 +328,7 @@ func (c *Coordinator) run(ctx context.Context, e *sweep.Expanded, d *sweep.Dir) 
 	probeWG.Wait()
 
 	// Cells still owed after an abort are recorded transiently — never
-	// persisted — so a resumed run re-dispatches them.
+	// persisted — so a resumed run executes them.
 	cause := context.Cause(runCtx)
 	for i := range reports {
 		if reports[i].ID == "" {
@@ -357,7 +372,7 @@ func (c *Coordinator) probeLoop(ctx context.Context, cancel context.CancelCauseF
 			}
 			if w.probe(ctx, c.cfg) {
 				healthy++
-				c.logf("coord: worker %s back in rotation", w.url)
+				c.logf("coord: worker %s back in rotation", w.name)
 			}
 		}
 		if healthy > 0 {
@@ -410,6 +425,12 @@ func (c *Coordinator) slotLoop(ctx context.Context, w *worker, e *sweep.Expanded
 			return
 		case t = <-tasks:
 		}
+		if ctx.Err() != nil {
+			// select picks at random among ready cases; a cell pulled
+			// after the run ended stays owed.
+			w.releaseBreaker()
+			return
+		}
 		c.dispatch(ctx, w, e, t, tasks, complete)
 	}
 }
@@ -433,7 +454,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, e *sweep.Expanded
 		w.noteDispatch(false, c.cfg)
 		c.met.retried.Add(1)
 		delay := c.cfg.Backoff.Delay(t.attempts, res.retryAfter)
-		c.logf("coord: worker %s at capacity, cell %d retries in %s", w.url, t.idx, delay.Round(time.Millisecond))
+		c.logf("coord: worker %s at capacity, cell %d retries in %s", w.name, t.idx, delay.Round(time.Millisecond))
 		select {
 		case <-ctx.Done():
 			return // the abort fill-in records the cell as owed
@@ -448,7 +469,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, e *sweep.Expanded
 		w.noteDispatch(false, c.cfg)
 		c.met.failed.Add(1)
 		cr := e.Cells[t.idx].Skeleton()
-		cr.Error = fmt.Sprintf("worker %s rejected cell: %v", w.url, res.err)
+		cr.Error = fmt.Sprintf("worker %s rejected cell: %v", w.name, res.err)
 		complete(cr, false)
 
 	case dispatchFailure:
@@ -459,11 +480,11 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, e *sweep.Expanded
 		if w.noteDispatch(true, c.cfg) {
 			c.met.breakerOpens.Add(1)
 			c.logf("coord: worker %s circuit opened after %d consecutive dispatch faults (cooldown %s)",
-				w.url, c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+				w.name, c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
 		}
 		w.markUnhealthy(res.err)
 		c.logf("coord: worker %s failed cell %d (attempt %d/%d): %v",
-			w.url, t.idx, t.attempts+1, c.cfg.MaxAttempts, res.err)
+			w.name, t.idx, t.attempts+1, c.cfg.MaxAttempts, res.err)
 		t.attempts++
 		if t.attempts >= c.cfg.MaxAttempts {
 			c.met.failed.Add(1)

@@ -1,10 +1,14 @@
 package coord_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,7 +62,7 @@ type fakeWorker struct {
 
 	// onCell, when non-nil, may hijack a cell request: return true after
 	// writing a response to suppress the default fabricated 200.
-	onCell func(w http.ResponseWriter, r *http.Request, req service.CellRequest, arrival int) bool
+	onCell func(w http.ResponseWriter, r *http.Request, req coord.CellRequest, arrival int) bool
 }
 
 func newFakeWorker(t *testing.T, slots int) *fakeWorker {
@@ -73,11 +77,11 @@ func newFakeWorker(t *testing.T, slots int) *fakeWorker {
 		json.NewEncoder(w).Encode(map[string]any{
 			"status":  "ok",
 			"workers": f.slots,
-			"worker":  service.WorkerInfo{ID: "fake", Version: service.Version},
+			"worker":  coord.WorkerInfo{ID: "fake", Version: service.Version},
 		})
 	})
 	mux.HandleFunc("POST /v1/cells", func(w http.ResponseWriter, r *http.Request) {
-		var req service.CellRequest
+		var req coord.CellRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -183,7 +187,7 @@ func TestDispatchOrderIsExpansionOrder(t *testing.T) {
 func TestBackpressureRetriesWithoutEviction(t *testing.T) {
 	var rejected atomic.Int64
 	w := newFakeWorker(t, 2)
-	w.onCell = func(rw http.ResponseWriter, _ *http.Request, req service.CellRequest, arrival int) bool {
+	w.onCell = func(rw http.ResponseWriter, _ *http.Request, req coord.CellRequest, arrival int) bool {
 		// First sighting of each cell is shed with a hint; retries pass.
 		if arrival < 6 {
 			rejected.Add(1)
@@ -223,7 +227,7 @@ func TestBackpressureRetriesWithoutEviction(t *testing.T) {
 func TestUnhealthyWorkerEvictionAndReassignment(t *testing.T) {
 	good := newFakeWorker(t, 2)
 	bad := newFakeWorker(t, 2)
-	bad.onCell = func(rw http.ResponseWriter, _ *http.Request, _ service.CellRequest, _ int) bool {
+	bad.onCell = func(rw http.ResponseWriter, _ *http.Request, _ coord.CellRequest, _ int) bool {
 		bad.dead.Store(true) // stay out of rotation once probed
 		http.Error(rw, "boom", http.StatusInternalServerError)
 		return true
@@ -254,7 +258,7 @@ func TestUnhealthyWorkerEvictionAndReassignment(t *testing.T) {
 // never persisted, so a resumed run dir retries it.
 func TestRetryCapRecordsUnpersistedFailure(t *testing.T) {
 	w := newFakeWorker(t, 1)
-	w.onCell = func(rw http.ResponseWriter, _ *http.Request, req service.CellRequest, _ int) bool {
+	w.onCell = func(rw http.ResponseWriter, _ *http.Request, req coord.CellRequest, _ int) bool {
 		if req.Index == 0 {
 			http.Error(rw, "boom", http.StatusInternalServerError)
 			return true
@@ -301,7 +305,7 @@ func TestRetryCapRecordsUnpersistedFailure(t *testing.T) {
 // failure, not silent corruption of the run dir.
 func TestMismatchedCellIsRejected(t *testing.T) {
 	w := newFakeWorker(t, 1)
-	w.onCell = func(rw http.ResponseWriter, _ *http.Request, req service.CellRequest, _ int) bool {
+	w.onCell = func(rw http.ResponseWriter, _ *http.Request, req coord.CellRequest, _ int) bool {
 		e, _ := sweep.Expand(req.Grid)
 		cr := e.Cells[(req.Index+1)%len(e.Cells)].Skeleton() // wrong cell
 		json.NewEncoder(rw).Encode(cr)
@@ -374,9 +378,104 @@ func TestRunDirResumeDispatchesNothing(t *testing.T) {
 	}
 }
 
+// A finished run directory owes no cells, so RunDir rewrites its reports
+// without asking any worker, even when every worker is down.
+func TestRunDirFinishedDirNeedsNoWorker(t *testing.T) {
+	w := newFakeWorker(t, 2)
+	c, err := coord.New(fastCfg(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := c.RunDir(t.Context(), unitGrid(), dir); err != nil {
+		t.Fatal(err)
+	}
+	report := filepath.Join(dir, "report.json")
+	first, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(report); err != nil {
+		t.Fatal(err)
+	}
+	dispatched := len(w.received())
+
+	w.dead.Store(true)
+	c2, err := coord.New(fastCfg(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c2.RunDir(t.Context(), unitGrid(), dir)
+	if err != nil {
+		t.Fatalf("RunDir over a finished dir with its only worker down: %v", err)
+	}
+	if rep.Failures() != 0 {
+		t.Fatalf("report carries %d failures", rep.Failures())
+	}
+	again, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatal("rewritten report.json differs from the original")
+	}
+	if got := len(w.received()); got != dispatched {
+		t.Fatalf("dispatched %d cells, want 0", got-dispatched)
+	}
+	if wm := c2.MetricsSnapshot().Workers[0]; wm.Errors != 0 {
+		t.Fatalf("worker errors = %d, want 0: nothing was owed, so nothing needed a probe", wm.Errors)
+	}
+}
+
+// A run whose context ends before any worker answers returns the
+// context's error with the partial report, the preloaded cells in it and
+// the owed ones marked with that error, and blames no worker.
+func TestRunDirCanceledBeforeProbe(t *testing.T) {
+	w := newFakeWorker(t, 2)
+	c, err := coord.New(fastCfg(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := c.RunDir(t.Context(), unitGrid(), dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "cells", "cell-000002.json")); err != nil {
+		t.Fatal(err)
+	}
+	dispatched := len(w.received())
+
+	c2, err := coord.New(fastCfg(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	rep, err := c2.RunDir(ctx, unitGrid(), dir)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep == nil {
+		t.Fatal("canceled run returned no report")
+	}
+	for i, cr := range rep.Cells {
+		switch {
+		case i == 2 && cr.Error != context.Canceled.Error():
+			t.Errorf("owed cell 2 error = %q, want %q", cr.Error, context.Canceled)
+		case i != 2 && (cr.Error != "" || len(cr.Outcomes) == 0):
+			t.Errorf("preloaded cell %d = %+v, want its persisted report", i, cr)
+		}
+	}
+	if got := len(w.received()); got != dispatched {
+		t.Fatalf("dispatched %d cells under a canceled context", got-dispatched)
+	}
+	if wm := c2.MetricsSnapshot().Workers[0]; wm.Errors != 0 {
+		t.Fatalf("worker errors = %d, want 0: the run ended, the worker did not fail", wm.Errors)
+	}
+}
+
 func TestNewRejectsBadWorkerLists(t *testing.T) {
 	for _, workers := range [][]string{
-		nil,
 		{"not-a-url"},
 		{"ftp://host"},
 		{"http://a:1", "http://a:1"},

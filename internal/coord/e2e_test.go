@@ -178,11 +178,7 @@ func TestDistributedSweepMatchesSingleNodeAndSurvivesWorkerDeath(t *testing.T) {
 	// Byte-identical artifacts: a single-node run of the same grid, fresh
 	// caches, same output layout.
 	localDir := t.TempDir()
-	exp, err := sweep.Expand(e2eGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRep, err := exp.RunDir(t.Context(), localDir, sweep.Options{Flight: muzzle.NewFlight()})
+	localRep, err := inProcess(t, coord.Config{Flight: muzzle.NewFlight()}).RunDir(t.Context(), e2eGrid(), localDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,6 +51,7 @@ type Metrics struct {
 
 // WorkerMetrics is one worker's slice of the snapshot.
 type WorkerMetrics struct {
+	// URL is the worker's base URL, or "in-process".
 	URL     string `json:"url"`
 	ID      string `json:"id,omitempty"`
 	Version string `json:"version,omitempty"`
@@ -90,7 +91,7 @@ func (c *Coordinator) MetricsSnapshot() Metrics {
 	for _, w := range c.workers {
 		w.mu.Lock()
 		wm := WorkerMetrics{
-			URL:     w.url,
+			URL:     w.name,
 			ID:      w.info.ID,
 			Version: w.info.Version,
 			Healthy: w.healthy,

@@ -9,26 +9,63 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"muzzle/internal/service"
 	"muzzle/internal/sweep"
 )
 
-// worker is one muzzled instance in the fleet: its URL, its last known
-// health and identity, and its dispatch counters.
+// CellRequest is the body of POST /v1/cells: it asks a muzzled worker to
+// execute one cell of a sweep grid. The grid travels with the request, so
+// workers stay stateless, and Index addresses the deterministic
+// expansion-order cell list, so every worker given the same grid resolves
+// the same cell to the same coordinates.
+type CellRequest struct {
+	// Grid is the full sweep grid the cell belongs to.
+	Grid sweep.Grid `json:"grid"`
+	// Index is the cell's position in the grid's expansion order.
+	Index int `json:"index"`
+	// TimeoutMS bounds the cell's run; 0 means no per-cell timeout.
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	// Verify runs the independent schedule verifier on the cell's
+	// schedules; a violation fails the cell deterministically.
+	Verify bool `json:"verify,omitempty"`
+}
+
+// WorkerInfo is the identity block a muzzled /healthz exposes so a
+// coordinator can tell its workers apart and spot version drift across a
+// fleet.
+type WorkerInfo struct {
+	ID       string `json:"id"`
+	Version  string `json:"version"`
+	Hostname string `json:"hostname,omitempty"`
+	PID      int    `json:"pid"`
+}
+
+// runner is how a worker executes cells: on a muzzled daemon over HTTP
+// (daemon) or in this process (inProcess).
+type runner interface {
+	// probe reports whether the runner can take cells, with its identity
+	// and the number of cells it runs at once.
+	probe(ctx context.Context, cfg Config) (WorkerInfo, int, error)
+	// run executes one cell and classifies the outcome.
+	run(ctx context.Context, cfg Config, e *sweep.Expanded, idx int) (sweep.CellReport, dispatchResult)
+}
+
+// worker is one member of the fleet: its runner, its last known health
+// and identity, and its dispatch counters.
 type worker struct {
-	url    string
-	client *http.Client
+	name   string // the daemon's base URL, or "in-process"
+	runner runner
 
 	mu         sync.Mutex
-	healthy    bool               // guarded by mu
-	info       service.WorkerInfo // guarded by mu
-	advertised int                // guarded by mu; worker pool size from /healthz "workers"
-	lastErr    string             // guarded by mu
+	healthy    bool       // guarded by mu
+	info       WorkerInfo // guarded by mu
+	advertised int        // guarded by mu; cells the runner takes at once, from its last probe
+	lastErr    string     // guarded by mu
 
 	// Circuit-breaker state, guarded by mu. The breaker is layered under
 	// the probe-driven health bit: a worker can answer /healthz perfectly
@@ -51,8 +88,8 @@ type worker struct {
 	latencyN   atomic.Int64
 }
 
-// newWorker validates and normalizes one worker base URL.
-func newWorker(raw string, client *http.Client) (*worker, error) {
+// newDaemonWorker validates and normalizes one muzzled base URL.
+func newDaemonWorker(raw string) (*worker, error) {
 	u, err := url.Parse(strings.TrimRight(raw, "/"))
 	if err != nil {
 		return nil, fmt.Errorf("coord: worker url %q: %w", raw, err)
@@ -63,7 +100,7 @@ func newWorker(raw string, client *http.Client) (*worker, error) {
 	if u.Host == "" {
 		return nil, fmt.Errorf("coord: worker url %q: missing host", raw)
 	}
-	return &worker{url: u.String(), client: client}, nil
+	return &worker{name: u.String(), runner: daemon{url: u.String()}}, nil
 }
 
 // Healthy reports the worker's last probed/observed health.
@@ -73,8 +110,8 @@ func (w *worker) Healthy() bool {
 	return w.healthy
 }
 
-// Advertised returns the worker-pool size the daemon advertised on its
-// last successful probe (min 1, fallback 2 before any probe succeeded).
+// Advertised returns the cell count the runner advertised on its last
+// successful probe (min 1, fallback 2 before any probe succeeded).
 func (w *worker) Advertised() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -176,48 +213,21 @@ func (w *worker) markUnhealthy(err error) {
 	w.errors.Add(1)
 }
 
-// healthzBody is the slice of the daemon's /healthz response the
-// coordinator cares about.
-type healthzBody struct {
-	Status  string             `json:"status"`
-	Workers int                `json:"workers"`
-	Worker  service.WorkerInfo `json:"worker"`
-}
-
-// probe GETs the worker's /healthz and updates its health, identity, and
-// advertised pool size. A draining worker is deliberately unhealthy: it
-// refuses new cells (503), so keeping it in rotation only burns attempts.
+// probe asks the runner whether the worker can take cells and updates its
+// health, identity, and advertised cell count. A probe cut off by the end
+// of the run says nothing about the worker and leaves its state alone.
 func (w *worker) probe(ctx context.Context, cfg Config) bool {
-	ctx, cancel := context.WithTimeout(ctx, cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/healthz", nil)
+	info, slots, err := w.runner.probe(ctx, cfg)
 	if err != nil {
-		w.markUnhealthy(err)
-		return false
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		w.markUnhealthy(err)
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		w.markUnhealthy(fmt.Errorf("healthz: %s", resp.Status))
-		return false
-	}
-	var hb healthzBody
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hb); err != nil {
-		w.markUnhealthy(fmt.Errorf("healthz: decode: %w", err))
-		return false
-	}
-	if hb.Status != "ok" {
-		w.markUnhealthy(fmt.Errorf("healthz: status %q", hb.Status))
+		if ctx.Err() == nil {
+			w.markUnhealthy(err)
+		}
 		return false
 	}
 	w.mu.Lock()
 	w.healthy = true
-	w.info = hb.Worker
-	w.advertised = hb.Workers
+	w.info = info
+	w.advertised = slots
 	w.lastErr = ""
 	w.mu.Unlock()
 	return true
@@ -240,8 +250,8 @@ type dispatchResult struct {
 	err        error
 }
 
-// executeCell POSTs one cell to the worker and classifies the outcome. A
-// 200 body is validated against the coordinator's own expansion (index and
+// executeCell runs one cell on the worker and classifies the outcome. A
+// result is validated against the coordinator's own expansion (index and
 // cell ID must match) so a drifted worker cannot corrupt the run dir.
 func (w *worker) executeCell(ctx context.Context, cfg Config, e *sweep.Expanded, idx int) (sweep.CellReport, dispatchResult) {
 	w.inflight.Add(1)
@@ -253,18 +263,94 @@ func (w *worker) executeCell(ctx context.Context, cfg Config, e *sweep.Expanded,
 		w.inflight.Add(-1)
 	}()
 
-	body, err := json.Marshal(service.CellRequest{Grid: e.Grid, Index: idx, Verify: cfg.Verify})
+	cr, res := w.runner.run(ctx, cfg, e, idx)
+	if res.kind != dispatchOK {
+		return sweep.CellReport{}, res
+	}
+	if cr.Index != idx || cr.ID != e.Cells[idx].ID {
+		return sweep.CellReport{}, dispatchResult{kind: dispatchFailure,
+			err: fmt.Errorf("cell mismatch: asked for %d (%s), got %d (%s)", idx, e.Cells[idx].ID, cr.Index, cr.ID)}
+	}
+	w.completed.Add(1)
+	return cr, res
+}
+
+// inProcess runs cells in this process through sweep's RunCell, sharing
+// the Config's cache and flight group. It is always healthy and takes one
+// cell per CPU at once.
+type inProcess struct{}
+
+func (inProcess) probe(context.Context, Config) (WorkerInfo, int, error) {
+	return WorkerInfo{}, runtime.GOMAXPROCS(0), nil
+}
+
+func (inProcess) run(ctx context.Context, cfg Config, e *sweep.Expanded, idx int) (sweep.CellReport, dispatchResult) {
+	cr, err := e.RunCell(ctx, idx, sweep.Options{Cache: cfg.Cache, Flight: cfg.Flight, Verify: cfg.Verify})
+	switch {
+	case err != nil:
+		return cr, dispatchResult{kind: dispatchReject, err: err}
+	case cr.Error != "" && ctx.Err() != nil:
+		// Cut off by the end of the run, not a property of the cell: a
+		// dispatch failure is never persisted, so a resumed run executes
+		// the cell again.
+		return cr, dispatchResult{kind: dispatchFailure, err: ctx.Err()}
+	}
+	return cr, dispatchResult{kind: dispatchOK}
+}
+
+// daemon runs cells on a muzzled worker over HTTP.
+type daemon struct{ url string }
+
+// healthzBody is the slice of the daemon's /healthz response the
+// coordinator cares about.
+type healthzBody struct {
+	Status  string     `json:"status"`
+	Workers int        `json:"workers"`
+	Worker  WorkerInfo `json:"worker"`
+}
+
+// probe GETs the daemon's /healthz. A draining daemon is deliberately
+// unhealthy: it refuses new cells (503), so keeping it in rotation only
+// burns attempts.
+func (d daemon) probe(ctx context.Context, cfg Config) (WorkerInfo, int, error) {
+	ctx, cancel := context.WithTimeout(ctx, cfg.ProbeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.url+"/healthz", nil)
+	if err != nil {
+		return WorkerInfo{}, 0, err
+	}
+	resp, err := cfg.Client.Do(req)
+	if err != nil {
+		return WorkerInfo{}, 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return WorkerInfo{}, 0, fmt.Errorf("healthz: %s", resp.Status)
+	}
+	var hb healthzBody
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hb); err != nil {
+		return WorkerInfo{}, 0, fmt.Errorf("healthz: decode: %w", err)
+	}
+	if hb.Status != "ok" {
+		return WorkerInfo{}, 0, fmt.Errorf("healthz: status %q", hb.Status)
+	}
+	return hb.Worker, hb.Workers, nil
+}
+
+// run POSTs one cell to the daemon and classifies the response.
+func (d daemon) run(ctx context.Context, cfg Config, e *sweep.Expanded, idx int) (sweep.CellReport, dispatchResult) {
+	body, err := json.Marshal(CellRequest{Grid: e.Grid, Index: idx, Verify: cfg.Verify})
 	if err != nil {
 		return sweep.CellReport{}, dispatchResult{kind: dispatchReject, err: err}
 	}
 	ctx, cancel := context.WithTimeout(ctx, cfg.CellTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/cells", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, d.url+"/v1/cells", bytes.NewReader(body))
 	if err != nil {
 		return sweep.CellReport{}, dispatchResult{kind: dispatchFailure, err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	resp, err := cfg.Client.Do(req)
 	if err != nil {
 		return sweep.CellReport{}, dispatchResult{kind: dispatchFailure, err: err}
 	}
@@ -276,11 +362,6 @@ func (w *worker) executeCell(ctx context.Context, cfg Config, e *sweep.Expanded,
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&cr); err != nil {
 			return sweep.CellReport{}, dispatchResult{kind: dispatchFailure, err: fmt.Errorf("decode cell: %w", err)}
 		}
-		if cr.Index != idx || cr.ID != e.Cells[idx].ID {
-			return sweep.CellReport{}, dispatchResult{kind: dispatchFailure,
-				err: fmt.Errorf("cell mismatch: asked for %d (%s), got %d (%s)", idx, e.Cells[idx].ID, cr.Index, cr.ID)}
-		}
-		w.completed.Add(1)
 		return cr, dispatchResult{kind: dispatchOK}
 	case http.StatusTooManyRequests:
 		return sweep.CellReport{}, dispatchResult{kind: dispatchBackpressure,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"muzzle/internal/coord"
 	"muzzle/internal/sweep"
 )
 
@@ -20,22 +21,6 @@ import (
 // off, and a crash mid-cell is recovered like any journaled job (the
 // re-run warms the shared cache, making the coordinator's retry nearly
 // free).
-
-// CellRequest asks the daemon to execute one cell of a sweep grid. The
-// grid travels with the request — workers are stateless — and Index
-// addresses the deterministic expansion-order cell list, so every worker
-// given the same grid resolves the same cell to the same coordinates.
-type CellRequest struct {
-	// Grid is the full sweep grid the cell belongs to.
-	Grid sweep.Grid `json:"grid"`
-	// Index is the cell's position in the grid's expansion order.
-	Index int `json:"index"`
-	// TimeoutMS bounds the cell's run; 0 means no per-cell timeout.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Verify runs the independent schedule verifier on the cell's
-	// schedules; a violation fails the cell deterministically.
-	Verify bool `json:"verify,omitempty"`
-}
 
 // expandCellGrid resolves a request grid through the manager's expansion
 // cache: a coordinator dispatches many cells of one grid to the same
@@ -81,7 +66,7 @@ const expandCacheSize = 16
 // (HTTP 400); admission rejections are ErrQueueFull (429 + Retry-After).
 //
 //muzzle:nolock the job is newly built and unshared until enqueue publishes it
-func (m *Manager) SubmitCell(req CellRequest) (JobView, error) {
+func (m *Manager) SubmitCell(req coord.CellRequest) (JobView, error) {
 	e, err := m.expandCellGrid(req.Grid)
 	if err != nil {
 		return JobView{}, &RequestError{Code: "bad_grid", Err: err}
@@ -162,7 +147,7 @@ func (m *Manager) runCellJob(ctx context.Context, j *job) {
 //	     it to another one.
 //	500  transient execution failure (timeout, internal error): retry.
 func (m *Manager) handleCell(w http.ResponseWriter, r *http.Request) {
-	var req CellRequest
+	var req coord.CellRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

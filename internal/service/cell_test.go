@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"muzzle/internal/coord"
 	"muzzle/internal/service"
 	"muzzle/internal/sweep"
 )
@@ -38,7 +39,7 @@ func TestCellEndpointExecutesOneCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp := postCell(t, srv, service.CellRequest{Grid: testGrid(), Index: 1})
+	resp := postCell(t, srv, coord.CellRequest{Grid: testGrid(), Index: 1})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cell status = %d, want 200", resp.StatusCode)
@@ -89,14 +90,14 @@ func TestCellEndpointValidation(t *testing.T) {
 
 	g := testGrid()
 	g.Topologies = nil
-	check("invalid grid", service.CellRequest{Grid: g, Index: 0}, http.StatusBadRequest, "bad_grid")
+	check("invalid grid", coord.CellRequest{Grid: g, Index: 0}, http.StatusBadRequest, "bad_grid")
 	g = testGrid()
 	g.Topologies = []sweep.TopologySpec{{Family: sweep.FamilyRing, Traps: sweep.MaxTraps + 1}}
-	check("grid past the limits", service.CellRequest{Grid: g, Index: 0}, http.StatusBadRequest, "bad_grid")
+	check("grid past the limits", coord.CellRequest{Grid: g, Index: 0}, http.StatusBadRequest, "bad_grid")
 
-	check("index out of range", service.CellRequest{Grid: testGrid(), Index: 99}, http.StatusBadRequest, "bad_cell")
-	check("negative index", service.CellRequest{Grid: testGrid(), Index: -1}, http.StatusBadRequest, "bad_cell")
-	check("negative timeout", service.CellRequest{Grid: testGrid(), Index: 0, TimeoutMS: -5}, http.StatusBadRequest, "bad_request")
+	check("index out of range", coord.CellRequest{Grid: testGrid(), Index: 99}, http.StatusBadRequest, "bad_cell")
+	check("negative index", coord.CellRequest{Grid: testGrid(), Index: -1}, http.StatusBadRequest, "bad_cell")
+	check("negative timeout", coord.CellRequest{Grid: testGrid(), Index: 0, TimeoutMS: -5}, http.StatusBadRequest, "bad_request")
 }
 
 // cellGate freezes a worker so the cell-endpoint backpressure test can
@@ -115,7 +116,7 @@ func TestCellEndpointBackpressure(t *testing.T) {
 	waitFor(t, "job a to occupy the worker", func() bool { return cellGate.count.Load() == base+1 })
 	b := submit(t, srv, service.Request{Name: "b", QASM: testQASM, Compilers: []string{"cellgate"}})
 
-	resp := postCell(t, srv, service.CellRequest{Grid: testGrid(), Index: 0})
+	resp := postCell(t, srv, coord.CellRequest{Grid: testGrid(), Index: 0})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity cell = %d, want 429", resp.StatusCode)
@@ -139,8 +140,8 @@ func TestHealthzWorkerIdentity(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Status string             `json:"status"`
-		Worker service.WorkerInfo `json:"worker"`
+		Status string           `json:"status"`
+		Worker coord.WorkerInfo `json:"worker"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestCellEndpointDeterministicFailureIs200(t *testing.T) {
 	g.Circuits = []sweep.CircuitSpec{{Kind: sweep.CircuitQFT, Qubits: 40}} // cannot fit 4 traps x capacity 6
 	_, srv := newTestServer(t, service.Config{Workers: 1})
 
-	resp := postCell(t, srv, service.CellRequest{Grid: g, Index: 0})
+	resp := postCell(t, srv, coord.CellRequest{Grid: g, Index: 0})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("deterministic failure status = %d, want 200", resp.StatusCode)

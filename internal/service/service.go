@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"muzzle"
+	"muzzle/internal/coord"
 	"muzzle/internal/store"
 	"muzzle/internal/sweep"
 )
@@ -258,18 +259,10 @@ func (m *Manager) RetryAfterSeconds() int {
 	return secs
 }
 
-// WorkerInfo is the identity block /healthz exposes so a coordinator can
-// tell its workers apart and spot version drift across a fleet.
-type WorkerInfo struct {
-	ID       string `json:"id"`
-	Version  string `json:"version"`
-	Hostname string `json:"hostname,omitempty"`
-	PID      int    `json:"pid"`
-}
-
-// WorkerInfo returns this daemon's identity block.
-func (m *Manager) WorkerInfo() WorkerInfo {
-	return WorkerInfo{ID: m.cfg.WorkerID, Version: Version, Hostname: m.hostname, PID: os.Getpid()}
+// WorkerInfo returns the identity block /healthz exposes so a coordinator
+// can tell its workers apart and spot version drift across a fleet.
+func (m *Manager) WorkerInfo() coord.WorkerInfo {
+	return coord.WorkerInfo{ID: m.cfg.WorkerID, Version: Version, Hostname: m.hostname, PID: os.Getpid()}
 }
 
 // Metrics is the observable state of the service.

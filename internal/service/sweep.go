@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"muzzle/internal/coord"
 	"muzzle/internal/sweep"
 )
 
@@ -13,7 +14,8 @@ import (
 // grids — bad topology parameters, unknown compilers, impossible capacity
 // combinations — are rejected up front as *RequestError (HTTP 400);
 // nothing a client submits can crash a worker. The expanded grid is kept
-// on the job, so topology construction happens once per submission.
+// on the job for its cell count; the coordinator that runs the job expands
+// the normalized grid once more.
 //
 //muzzle:nolock the job is newly built and unshared until enqueue publishes it
 func (m *Manager) SubmitSweep(g sweep.Grid) (JobView, error) {
@@ -33,17 +35,18 @@ func (m *Manager) SubmitSweep(g sweep.Grid) (JobView, error) {
 	return m.enqueue(j)
 }
 
-// runSweep executes a dequeued sweep job through the sweep engine,
-// emitting one "cell" event per finished cell and attaching the
-// aggregated report to the job.
+// runSweep executes a dequeued sweep job on an in-process coordinator,
+// emitting one "cell" event per finished cell and attaching the aggregated
+// report to the job. A cell cut off by cancellation is not a finished
+// cell: the report records it, the event stream does not.
 func (m *Manager) runSweep(ctx context.Context, j *job) {
 	j.emit(Event{Kind: EventState, State: StateRunning})
 
-	rep := j.sweep.Run(ctx, sweep.Options{
-		Parallelism: m.cfg.SweepParallelism,
-		Cache:       m.cfg.Cache,
-		Flight:      m.cfg.Flight,
-		Verify:      m.cfg.Verify,
+	c, err := coord.New(coord.Config{
+		PerWorkerInFlight: m.cfg.SweepParallelism,
+		Cache:             m.cfg.Cache,
+		Flight:            m.cfg.Flight,
+		Verify:            m.cfg.Verify,
 		OnCell: func(cr sweep.CellReport) {
 			ev := Event{Kind: EventCell, Index: cr.Index, Circuit: cr.ID}
 			cell := cr
@@ -59,6 +62,14 @@ func (m *Manager) runSweep(ctx context.Context, j *job) {
 			j.emit(ev)
 		},
 	})
+	var rep *sweep.Report
+	if err == nil {
+		rep, err = c.Run(ctx, j.sweep.Grid)
+	}
+	if rep == nil {
+		m.finish(j, StateFailed, err.Error())
+		return
+	}
 	j.mu.Lock()
 	j.report = rep
 	j.mu.Unlock()

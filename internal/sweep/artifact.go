@@ -77,15 +77,6 @@ func WriteJSON(w io.Writer, r *Report) error {
 	return err
 }
 
-// ReadJSON parses a report previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("sweep: decode report: %w", err)
-	}
-	return &rep, nil
-}
-
 // csvHeader is the column layout of WriteCSV.
 var csvHeader = []string{
 	"cell_id", "topology", "traps", "capacity", "comm_capacity", "circuit",

@@ -15,9 +15,9 @@ import (
 // Dir is the resume state of a sweep artifact directory: the manifest, the
 // set of completed cells, and the persistence rules that make the layout
 // crash-safe. It is the single authority over the on-disk format — the
-// local RunDir and the distributed coordinator both write through it, so a
-// directory produced by one is byte-compatible with (and resumable by)
-// the other.
+// coordinator (internal/coord) writes through it whether cells run in
+// process or on muzzled workers, so a directory started one way can be
+// finished the other.
 //
 // All writes are atomic: cell files and the manifest go through a unique
 // temp file in the same directory, fsync, then rename, so a crash mid-write
@@ -101,9 +101,6 @@ func OpenDir(dir string, e *Expanded) (*Dir, error) {
 	}
 	return d, nil
 }
-
-// Path returns the artifact directory.
-func (d *Dir) Path() string { return d.dir }
 
 // Preloaded returns a copy of the completed cell reports reloaded at open:
 // the cells a run over this directory does not need to execute again.

@@ -1,14 +1,13 @@
 package sweep
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// tinyGrid is a 2-cell grid cheap enough to compile twice in one test.
+// tinyGrid is a 2-cell grid.
 func tinyGrid() Grid {
 	return Grid{
 		Topologies:     []TopologySpec{{Family: FamilyLine, Traps: 4}},
@@ -139,49 +138,5 @@ func TestDirWritesLeaveNoTempFiles(t *testing.T) {
 	}
 	if d.DoneCount() != len(e.Cells) {
 		t.Fatalf("done = %d, want %d", d.DoneCount(), len(e.Cells))
-	}
-}
-
-// End to end: a run whose artifact was torn on disk resumes by re-running
-// exactly the damaged cell and reproduces report.json byte for byte.
-func TestRunDirRerunsCorruptCell(t *testing.T) {
-	exp, err := Expand(tinyGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	rep1, err := exp.RunDir(context.Background(), dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.Failures() != 0 {
-		t.Fatalf("first run had %d failures", rep1.Failures())
-	}
-	json1, err := os.ReadFile(filepath.Join(dir, reportFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear cell 0 mid-write (as a crash would) and resume.
-	if err := os.WriteFile(cellPath(dir, 0), []byte(`{"index": 0, "id": "`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	exp2, err := Expand(tinyGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := exp2.RunDir(context.Background(), dir, Options{})
-	if err != nil {
-		t.Fatalf("resume over torn cell: %v", err)
-	}
-	if rep2.Failures() != 0 {
-		t.Fatalf("resumed run had %d failures", rep2.Failures())
-	}
-	json2, err := os.ReadFile(filepath.Join(dir, reportFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(json1) != string(json2) {
-		t.Fatal("report.json differs after re-running a torn cell")
 	}
 }

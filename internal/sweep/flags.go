@@ -8,13 +8,13 @@ import (
 	"strings"
 )
 
-// This file is the shared CLI vocabulary for sweep grids: cmd/muzzlesweep
-// and cmd/muzzlecoord accept the same axis flags, so a grid described on
-// one command line expands identically on the other (and hashes to the
-// same resumable artifact directory).
+// This file is the CLI vocabulary for sweep grids: the axis flags of
+// cmd/muzzlesweep, which describe the same grids as a JSON grid file or a
+// /v1/sweeps body, so a grid expands and hashes (to the same resumable
+// artifact directory) the same however it was given.
 
 // GridFromFlags synthesizes a Grid from the comma-separated axis flag
-// values used by the sweep CLIs: topologies ("line:6,ring:6,grid:2x3"),
+// values used by the sweep CLI: topologies ("line:6,ring:6,grid:2x3"),
 // trap capacities ("17"), communication capacities ("2"), a compiler set
 // ("" = registry default pair), and circuits ("paper,qft:16,
 // random:Q:G:SEED[:COUNT]").

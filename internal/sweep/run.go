@@ -2,20 +2,13 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"muzzle"
 )
 
-// Options configure a sweep execution.
+// Options configure the run of one cell.
 type Options struct {
-	// Parallelism bounds concurrently running cells (0 = GOMAXPROCS).
-	// Each cell additionally inherits the pipeline's own defaults for
-	// per-circuit work, so this is the shard-level knob.
-	Parallelism int
 	// Cache, when non-nil, is the shared content-addressed compile cache:
 	// cells whose (circuit, machine, compilers, sim) coordinates were
 	// evaluated before — in this run, an earlier resumed run, or any other
@@ -26,168 +19,17 @@ type Options struct {
 	// of the same group (daemon jobs, the CLI) — so duplicates that race
 	// past the cache still cost one compile.
 	Flight *muzzle.Flight
-	// OnCell, when non-nil, receives each finished cell's report in
-	// completion order. It is never invoked concurrently with itself.
-	OnCell func(CellReport)
 	// Verify runs the independent schedule verifier on every freshly
 	// compiled result and on cache hits that still carry their traces
 	// (summary-only disk entries pass through); violations mark the cell
 	// failed (CellReport.Error) rather than aborting the sweep.
 	Verify bool
-	// FaultScope, when non-empty, subjects RunDir's artifact writes to
-	// the process-global fault injector (internal/faults) under this
-	// scope. Tests only; empty in production.
-	FaultScope string
-}
-
-// Run expands the grid and executes every cell, returning the aggregated
-// report. Per-cell failures (a circuit too large for a machine point, a
-// mid-run compile error) are recorded in the cell's Error field — the run
-// continues — while grid validation failures and context cancellation are
-// returned as errors. On cancellation the report still carries every
-// completed cell; unstarted cells are marked with the context error.
-func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
-	e, err := Expand(g)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(ctx, opt), ctx.Err()
-}
-
-// Run executes every cell of an already-expanded grid. See the package
-// Run for the error contract; here cancellation is reported through the
-// affected cells' Error fields and the caller's ctx.
-func (e *Expanded) Run(ctx context.Context, opt Options) *Report {
-	reports := e.execute(ctx, opt, nil)
-	return &Report{Grid: e.Grid, Cells: reports}
-}
-
-// RunDir is Run with a resumable on-disk manifest: every completed cell is
-// persisted under dir/cells/ and recorded in dir/manifest.json, so an
-// interrupted sweep re-run with the same grid picks up where it stopped,
-// re-executing only unfinished cells. The final report is written to
-// dir/report.json and dir/report.csv. A directory holding a different
-// grid's manifest is rejected rather than overwritten.
-func RunDir(ctx context.Context, g Grid, dir string, opt Options) (*Report, error) {
-	e, err := Expand(g)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunDir(ctx, dir, opt)
-}
-
-// RunDir is the resumable run over an already-expanded grid; see the
-// package RunDir. The on-disk layout is owned by Dir, which the
-// distributed coordinator (internal/coord) shares — either side can resume
-// a directory the other produced.
-func (e *Expanded) RunDir(ctx context.Context, dir string, opt Options) (*Report, error) {
-	d, err := OpenDir(dir, e)
-	if err != nil {
-		return nil, err
-	}
-	if opt.FaultScope != "" {
-		d.SetFaultScope(opt.FaultScope)
-	}
-
-	// Persist each finished cell and refresh the manifest as results
-	// arrive, chaining any caller-supplied progress callback.
-	var persistMu sync.Mutex
-	var persistErrs []error
-	userCB := opt.OnCell
-	opt.OnCell = func(cr CellReport) {
-		// A cell that failed under a canceled context is transient — the
-		// work was interrupted, not impossible — so it must not be
-		// persisted as done or a resumed run would never re-execute it.
-		// Deterministic failures (infeasible cells) are persisted: they
-		// would fail identically on every re-run. Successful results are
-		// always persisted, even if cancellation landed after they
-		// finished.
-		transient := cr.Error != "" && ctx.Err() != nil
-		if !transient {
-			if err := d.Persist(cr); err != nil {
-				persistMu.Lock()
-				persistErrs = append(persistErrs, err)
-				persistMu.Unlock()
-			}
-		}
-		if userCB != nil {
-			userCB(cr)
-		}
-	}
-
-	reports := e.execute(ctx, opt, d.Preloaded())
-	rep := &Report{Grid: e.Grid, Cells: reports}
-	if err := ctx.Err(); err != nil {
-		return rep, errors.Join(append(persistErrs, err)...)
-	}
-	if err := d.WriteReports(rep); err != nil {
-		persistErrs = append(persistErrs, err)
-	}
-	return rep, errors.Join(persistErrs...)
-}
-
-// execute runs every cell not already present in preloaded through the
-// worker pool and returns the full index-ordered report list. Preloaded
-// cells (a resumed run's completed shards) are copied through without
-// re-execution and without OnCell notifications.
-func (e *Expanded) execute(ctx context.Context, opt Options, preloaded map[int]CellReport) []CellReport {
-	norm, cells := e.Grid, e.Cells
-	reports := make([]CellReport, len(cells))
-	var pending []int
-	for i := range cells {
-		if r, ok := preloaded[i]; ok {
-			reports[i] = r
-		} else {
-			pending = append(pending, i)
-		}
-	}
-
-	par := opt.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(pending) {
-		par = len(pending)
-	}
-	jobs := make(chan int, len(pending))
-	for _, i := range pending {
-		jobs <- i
-	}
-	close(jobs)
-
-	var cbMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					// Canceled before this cell started: record the
-					// abort without invoking compilers or callbacks.
-					reports[i] = skeleton(cells[i])
-					reports[i].Error = ctx.Err().Error()
-					continue
-				}
-				rep := runCell(ctx, norm, cells[i], opt)
-				reports[i] = rep
-				if opt.OnCell != nil {
-					cbMu.Lock()
-					opt.OnCell(rep)
-					cbMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return reports
 }
 
 // RunCell executes exactly one cell of the expanded grid — the unit the
-// distributed coordinator dispatches to a worker. The returned report is
-// identical to what a full local run would record for that cell (per-cell
-// failures land in CellReport.Error, not the error return); the error
-// return covers only an out-of-range index.
+// coordinator (internal/coord) runs in process or dispatches to a worker.
+// Per-cell failures land in CellReport.Error, not the error return; the
+// error return covers only an out-of-range index.
 func (e *Expanded) RunCell(ctx context.Context, index int, opt Options) (CellReport, error) {
 	if index < 0 || index >= len(e.Cells) {
 		return CellReport{}, fmt.Errorf("sweep: cell index %d out of range [0, %d)", index, len(e.Cells))
@@ -195,8 +37,9 @@ func (e *Expanded) RunCell(ctx context.Context, index int, opt Options) (CellRep
 	return runCell(ctx, e.Grid, e.Cells[index], opt), nil
 }
 
-// skeleton returns a CellReport carrying just the cell's coordinates.
-func skeleton(c Cell) CellReport {
+// Skeleton returns a report carrying only the cell's coordinates — the
+// shape of a cell that failed or was never run.
+func (c Cell) Skeleton() CellReport {
 	return CellReport{
 		Index:        c.Index,
 		ID:           c.ID,
@@ -208,16 +51,11 @@ func skeleton(c Cell) CellReport {
 	}
 }
 
-// Skeleton returns a report carrying only the cell's coordinates — the
-// shape the coordinator uses to record a cell that permanently failed to
-// dispatch.
-func (c Cell) Skeleton() CellReport { return skeleton(c) }
-
 // runCell evaluates one cell: a pipeline over the cell's machine point and
 // the grid's compiler set, sharing the sweep-wide cache, applied to the
 // cell's circuit.
 func runCell(ctx context.Context, g Grid, cell Cell, opt Options) CellReport {
-	out := skeleton(cell)
+	out := cell.Skeleton()
 	popts := []muzzle.PipelineOption{
 		muzzle.WithMachine(cell.Machine),
 		muzzle.WithCompilers(g.Compilers...),

@@ -1,8 +1,10 @@
-// Package sweep is the scenario-sweep engine: it expands a declarative
+// Package sweep is the scenario-sweep model: it expands a declarative
 // parameter grid — topology family/size, trap capacity, communication
 // capacity, compiler set, circuit family — into a deterministic list of
-// cells (shards), executes the cells in parallel through muzzle.Pipeline,
-// and aggregates the per-cell outcomes into stable JSON/CSV artifacts.
+// cells (shards), runs one cell through muzzle.Pipeline (RunCell), and
+// owns the stable JSON/CSV artifacts and the resumable directory layout
+// (Dir). The coordinator (internal/coord) runs a grid's cells, in process
+// or on muzzled workers.
 //
 // The grid follows the evaluation methodology of Murali et al. (ISCA
 // 2020) — the source of the L6/ring/grid topology families the paper's
@@ -277,9 +279,9 @@ type Cell struct {
 func (c Cell) Build() *muzzle.Circuit { return c.build() }
 
 // Expanded is a validated grid ready to run: the normalized grid plus its
-// deterministic cell list. It exists so expansion — topology construction
-// includes the all-pairs path precompute — happens once per submission,
-// not once per validation site and again per run.
+// deterministic cell list. A caller that runs many cells of one grid keeps
+// it, so topology construction — which includes the all-pairs path
+// precompute — is not repeated per cell.
 type Expanded struct {
 	// Grid is the normalized grid (defaulted axes materialized).
 	Grid Grid
