@@ -172,7 +172,7 @@ func TestChaosSweepSurvivesSeededFaultSchedule(t *testing.T) {
 
 	// Invariant: artifacts byte-identical to a fault-free single-node run.
 	localDir := t.TempDir()
-	localRep, err := inProcess(t, coord.Config{Flight: muzzle.NewFlight()}).RunDir(t.Context(), e2eGrid(), localDir)
+	localRep, err := inProcessCoord(t, coord.Config{Flight: muzzle.NewFlight()}).RunDir(t.Context(), e2eGrid(), localDir)
 	if err != nil || localRep.Failures() != 0 {
 		t.Fatalf("fault-free reference run failed: %v (%d failures)", err, localRep.Failures())
 	}

@@ -178,7 +178,7 @@ func TestDistributedSweepMatchesSingleNodeAndSurvivesWorkerDeath(t *testing.T) {
 	// Byte-identical artifacts: a single-node run of the same grid, fresh
 	// caches, same output layout.
 	localDir := t.TempDir()
-	localRep, err := inProcess(t, coord.Config{Flight: muzzle.NewFlight()}).RunDir(t.Context(), e2eGrid(), localDir)
+	localRep, err := inProcessCoord(t, coord.Config{Flight: muzzle.NewFlight()}).RunDir(t.Context(), e2eGrid(), localDir)
 	if err != nil {
 		t.Fatal(err)
 	}

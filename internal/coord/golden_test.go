@@ -67,7 +67,7 @@ func TestSweepArtifactsGolden(t *testing.T) {
 		t.Fatalf("golden grid expands to %d cells, want 12", len(exp.Cells))
 	}
 	localDir := t.TempDir()
-	rep, err := inProcess(t, coord.Config{}).RunDir(t.Context(), goldenGrid(), localDir)
+	rep, err := inProcessCoord(t, coord.Config{}).RunDir(t.Context(), goldenGrid(), localDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,8 @@ func tinyGrid() sweep.Grid {
 	}
 }
 
-// inProcess returns a coordinator that runs cells in this process.
-func inProcess(t *testing.T, cfg coord.Config) *coord.Coordinator {
+// inProcessCoord returns a coordinator that runs cells in this process.
+func inProcessCoord(t *testing.T, cfg coord.Config) *coord.Coordinator {
 	t.Helper()
 	c, err := coord.New(cfg)
 	if err != nil {
@@ -64,11 +64,11 @@ func TestNewWithoutWorkersRunsInProcess(t *testing.T) {
 // (including seeded random circuits) run twice produces byte-identical
 // JSON and CSV artifacts.
 func TestRunDeterminism(t *testing.T) {
-	r1, err := inProcess(t, coord.Config{PerWorkerInFlight: 4}).Run(t.Context(), unitGrid())
+	r1, err := inProcessCoord(t, coord.Config{PerWorkerInFlight: 4}).Run(t.Context(), unitGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := inProcess(t, coord.Config{PerWorkerInFlight: 1}).Run(t.Context(), unitGrid())
+	r2, err := inProcessCoord(t, coord.Config{PerWorkerInFlight: 1}).Run(t.Context(), unitGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCacheOverlapHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := inProcess(t, coord.Config{Cache: cache})
+	c := inProcessCoord(t, coord.Config{Cache: cache})
 	r1, err := c.Run(t.Context(), unitGrid())
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestCacheOverlapHits(t *testing.T) {
 func TestRunDirResume(t *testing.T) {
 	dir := t.TempDir()
 	executed := 0
-	c := inProcess(t, coord.Config{OnCell: func(sweep.CellReport) { executed++ }})
+	c := inProcessCoord(t, coord.Config{OnCell: func(sweep.CellReport) { executed++ }})
 	r1, err := c.RunDir(t.Context(), unitGrid(), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestInfeasibleCellRecorded(t *testing.T) {
 			{Kind: sweep.CircuitRandom, Qubits: 3, Gates2Q: 4, Seed: 2},
 		},
 	}
-	rep, err := inProcess(t, coord.Config{}).Run(t.Context(), g)
+	rep, err := inProcessCoord(t, coord.Config{}).Run(t.Context(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +229,11 @@ func TestRunDirCanceledCellsResume(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	if _, err := inProcess(t, coord.Config{}).RunDir(ctx, unitGrid(), dir); err == nil {
+	if _, err := inProcessCoord(t, coord.Config{}).RunDir(ctx, unitGrid(), dir); err == nil {
 		t.Fatal("expected context error from canceled run")
 	}
 	executed := 0
-	c := inProcess(t, coord.Config{OnCell: func(sweep.CellReport) { executed++ }})
+	c := inProcessCoord(t, coord.Config{OnCell: func(sweep.CellReport) { executed++ }})
 	rep, err := c.RunDir(t.Context(), unitGrid(), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestRunDirCanceledCellsResume(t *testing.T) {
 func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	rep, err := inProcess(t, coord.Config{}).Run(ctx, unitGrid())
+	rep, err := inProcessCoord(t, coord.Config{}).Run(ctx, unitGrid())
 	if err == nil {
 		t.Fatal("expected context error")
 	}
@@ -267,7 +267,7 @@ func TestRunCanceled(t *testing.T) {
 // exactly the damaged cell and reproduces report.json byte for byte.
 func TestRunDirRerunsCorruptCell(t *testing.T) {
 	dir := t.TempDir()
-	rep1, err := inProcess(t, coord.Config{}).RunDir(t.Context(), tinyGrid(), dir)
+	rep1, err := inProcessCoord(t, coord.Config{}).RunDir(t.Context(), tinyGrid(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestRunDirRerunsCorruptCell(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cells", "cell-000000.json"), []byte(`{"index": 0, "id": "`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := inProcess(t, coord.Config{}).RunDir(t.Context(), tinyGrid(), dir)
+	rep2, err := inProcessCoord(t, coord.Config{}).RunDir(t.Context(), tinyGrid(), dir)
 	if err != nil {
 		t.Fatalf("resume over torn cell: %v", err)
 	}
