@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the CLI vocabulary for sweep grids: the axis flags of
-// cmd/muzzlesweep, which describe the same grids as a JSON grid file or a
-// /v1/sweeps body, so a grid expands and hashes (to the same resumable
-// artifact directory) the same however it was given.
+// cmd/muzzlesweep. A grid given by flags expands and hashes exactly like
+// the same grid given as JSON, so both reach the same resumable artifact
+// directory.
 
 // GridFromFlags synthesizes a Grid from the comma-separated axis flag
 // values used by the sweep CLI: topologies ("line:6,ring:6,grid:2x3"),
