@@ -43,9 +43,9 @@ type CacheConfig struct {
 // results, keyed by a stable hash of circuit content + machine + compiler
 // set + simulator constants. Install one with WithCache; a single Cache is
 // safe to share across pipelines and goroutines (the muzzled service runs
-// every job through one). In-memory hits return the full original result;
-// entries reloaded from the disk tier are summaries (counters, policies,
-// and simulator estimates — no operation trace).
+// every job through one). Memory and disk hits alike return the summary an
+// evaluation keeps (counters, policies, simulator estimates and the
+// Verified bit — no operation trace), and cannot be told apart.
 type Cache struct {
 	lru *cache.LRU
 }

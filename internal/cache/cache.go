@@ -4,11 +4,11 @@
 // compiler set + simulator constants (see Key), held in an in-memory LRU
 // with optional disk persistence.
 //
-// In-memory entries keep the full evaluation result (operation traces
-// included); the disk tier stores the JSON summary schema of
-// internal/eval, so results reloaded from disk carry every counter and
-// simulator estimate but no trace. Disk files are sharded by the first
-// two hex digits of the key: <dir>/ab/abcdef....json. Memory eviction
+// Both tiers hold the same summary: evaluation results keep every counter,
+// policy name and simulator estimate but no operation trace, so memory
+// entries equal what the disk tier stores in the JSON summary schema of
+// internal/eval and rebuilds on a disk hit. Disk files are sharded by the
+// first two hex digits of the key: <dir>/ab/abcdef....json. Memory eviction
 // drops memory entries only; the disk tier is bounded separately by
 // MaxDiskEntries — inserts past the bound trigger an mtime-ordered sweep
 // (disk hits refresh the file's mtime, making the sweep LRU-ish), so a

@@ -3,7 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
 	"time"
 
 	"muzzle/internal/circuit"
@@ -117,43 +117,96 @@ func (c *Compiler) CompileContext(ctx context.Context, circ *circuit.Circuit, cf
 	return c.CompileMappedContext(ctx, native, cfg, placement)
 }
 
-// tracePool recycles trace buffers across compiles. A compile records into
-// a pooled buffer and returns an exact-length copy, so Result.Ops never
-// aliases pooled memory and a warm buffer spares every later compile the
-// trace's regrowth copies. It holds *[]machine.Op, so Put does not allocate.
-var tracePool = sync.Pool{New: func() any { return new([]machine.Op) }}
+// idleTraces keeps up to GOMAXPROCS trace buffers between compiles. A
+// compile records into an idle buffer when there is one, lends it to the
+// caller's function for the length of one call (LendMappedContext), and
+// then gives it back, grown if the compile needed more room.
+// CompileMappedContext's function copies the trace out at exact length, so
+// an owned Result.Ops never aliases a reused buffer. Unlike a sync.Pool, the
+// list is not emptied by garbage collection: a process with a small live
+// heap collects every few compiles, and a pool emptied that often hands
+// most compiles a cold buffer to allocate and regrow.
+var idleTraces = make(chan []machine.Op, runtime.GOMAXPROCS(0))
+
+// maxIdleTraceOps bounds the capacity of a buffer kept for reuse (6 MiB of
+// ops, several times the longest trace of the paper's benchmarks), so the
+// list never pins more than GOMAXPROCS buffers of that size.
+const maxIdleTraceOps = 1 << 18
+
+// takeTrace returns an idle trace buffer, or nil when there is none.
+func takeTrace() []machine.Op {
+	select {
+	case buf := <-idleTraces:
+		return buf
+	default:
+		return nil
+	}
+}
+
+// keepTrace offers a finished compile's trace buffer for reuse.
+func keepTrace(buf []machine.Op) {
+	if cap(buf) > maxIdleTraceOps {
+		return
+	}
+	select {
+	case idleTraces <- buf[:0]:
+	default:
+	}
+}
 
 // CompileMappedContext schedules an already-native circuit from an explicit
 // initial placement, with cooperative cancellation. placement[t] lists the
-// ions (== qubit ids) initially in trap t.
+// ions (== qubit ids) initially in trap t. The returned trace is the
+// caller's own copy.
 func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Circuit, cfg machine.Config, placement [][]int) (*Result, error) {
-	start := time.Now()
-	if c.Direction == nil || c.Rebalancer == nil {
-		return nil, fmt.Errorf("compiler: Direction and Rebalancer policies are mandatory")
-	}
-	if err := native.Validate(); err != nil {
-		return nil, err
-	}
-	for i, g := range native.Gates {
-		if !circuit.IsNative(g.Name) {
-			return nil, fmt.Errorf("compiler: gate %d (%q) is not native; call Compile or Decompose first", i, g.Name)
-		}
-	}
-	st, err := machine.NewState(cfg, placement)
+	var res *Result
+	err := c.LendMappedContext(ctx, native, cfg, placement, nil, func(r *Result) error {
+		r.Ops = append([]machine.Op(nil), r.Ops...)
+		res = r
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if st.NumIons() < native.NumQubits {
-		return nil, fmt.Errorf("compiler: placement has %d ions, circuit needs %d", st.NumIons(), native.NumQubits)
+	return res, nil
+}
+
+// LendMappedContext schedules like CompileMappedContext, then calls use with
+// the result instead of returning it. The result's Ops alias a reused trace
+// buffer and stay valid only until use returns, so a caller that reads the
+// trace once (verify, simulate) pays for no copy; everything else in the
+// result is the caller's to keep. g is native's dependency graph, which the
+// compile only reads, so one graph can serve every compile of a circuit; a
+// nil g builds it here, and a graph built for another circuit is an error.
+// The error is the compile's, or use's own when use ran.
+func (c *Compiler) LendMappedContext(ctx context.Context, native *circuit.Circuit, cfg machine.Config, placement [][]int, g *dag.Graph, use func(*Result) error) error {
+	start := time.Now()
+	if c.Direction == nil || c.Rebalancer == nil {
+		return fmt.Errorf("compiler: Direction and Rebalancer policies are mandatory")
 	}
-	// The pooled buffer goes back on every return, grown if this compile
-	// needed more room.
-	buf := tracePool.Get().(*[]machine.Op)
-	st.AdoptOps(*buf)
-	defer func() {
-		*buf = st.Ops()[:0]
-		tracePool.Put(buf)
-	}()
+	if err := native.Validate(); err != nil {
+		return err
+	}
+	for i, gate := range native.Gates {
+		if !circuit.IsNative(gate.Name) {
+			return fmt.Errorf("compiler: gate %d (%q) is not native; call Compile or Decompose first", i, gate.Name)
+		}
+	}
+	if g == nil {
+		g = dag.Build(native)
+	} else if g.Circuit() != native {
+		return fmt.Errorf("compiler: dependency graph of circuit %q does not belong to circuit %q", g.Circuit().Name, native.Name)
+	}
+	st, err := machine.NewState(cfg, placement)
+	if err != nil {
+		return err
+	}
+	if st.NumIons() < native.NumQubits {
+		return fmt.Errorf("compiler: placement has %d ions, circuit needs %d", st.NumIons(), native.NumQubits)
+	}
+	// The buffer goes back once use has returned.
+	st.AdoptOps(takeTrace())
+	defer func() { keepTrace(st.Ops()) }()
 	// Every gate records at least one trace op and shuttles add a few more;
 	// reserving up front keeps slice-growth copies of a cold buffer out of
 	// the hot loop.
@@ -163,7 +216,7 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 		c:      c,
 		st:     st,
 		cancel: ctx,
-		ctx:    &Context{State: st, Graph: dag.Build(native), Circ: native, Executed: make([]bool, len(native.Gates))},
+		ctx:    &Context{State: st, Graph: g, Circ: native, Executed: make([]bool, len(native.Gates))},
 	}
 	res := &Result{
 		Circ:             native,
@@ -176,12 +229,12 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 		res.ReorderPolicy = c.Reorderer.Name()
 	}
 	if err := e.run(res); err != nil {
-		return nil, err
+		return err
 	}
 	if err := st.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("compiler: post-compile invariant violation: %w", err)
+		return fmt.Errorf("compiler: post-compile invariant violation: %w", err)
 	}
-	res.Ops = append([]machine.Op(nil), st.Ops()...)
+	res.Ops = st.Ops()
 	res.Shuttles = st.Shuttles()
 	res.Swaps = st.OpCount(machine.OpSwap)
 	res.Splits = st.OpCount(machine.OpSplit)
@@ -189,7 +242,7 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 	res.Gates2Q = st.OpCount(machine.OpGate2Q)
 	res.Gates1Q = st.OpCount(machine.OpGate1Q)
 	res.CompileTime = time.Since(start)
-	return res, nil
+	return use(res)
 }
 
 // engine carries the mutable compilation loop state.

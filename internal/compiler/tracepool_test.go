@@ -2,19 +2,22 @@ package compiler_test
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
 
 	"muzzle/internal/baseline"
 	"muzzle/internal/bench"
+	"muzzle/internal/circuit"
 	"muzzle/internal/compiler"
 	"muzzle/internal/core"
+	"muzzle/internal/dag"
 	"muzzle/internal/machine"
 )
 
 // Compiles record into a reused trace buffer, so a returned trace must be a
-// copy: compiling ever larger programs afterwards, which makes the pooled
+// copy: compiling ever larger programs afterwards, which makes the reused
 // buffer grow, must leave every earlier result's ops as they were. The
 // programs are shuttle-heavy random circuits, whose traces outgrow the
 // engine's up-front reservation, so each compile starts recording into the
@@ -39,7 +42,7 @@ func TestTraceSurvivesLaterCompiles(t *testing.T) {
 	}
 }
 
-// The trace pool is shared by every goroutine of the process: compiling
+// Idle trace buffers are shared by every goroutine of the process: compiling
 // the Table II programs concurrently must give the traces a serial compile
 // gives. Run under -race, this also checks that no two compiles share a
 // buffer.
@@ -84,5 +87,58 @@ func TestConcurrentCompilesMatchSerial(t *testing.T) {
 				t.Errorf("worker %d: %s/%d trace differs from the serial compile", w, specs[j/len(compilers)].Name, j%len(compilers))
 			}
 		}
+	}
+}
+
+// LendMappedContext lends what CompileMappedContext returns, whether it
+// builds the dependency graph itself or is handed one. A graph built for
+// another circuit, even an identical one, is rejected before use runs, and
+// use's own error comes back unchanged.
+func TestLendMatchesCompileMapped(t *testing.T) {
+	ctx := context.Background()
+	cfg := machine.PaperL6()
+	native, err := circuit.Decompose(bench.Random(48, 300, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	placement, err := compiler.GreedyPlacement(native, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := core.New()
+	want, err := comp.CompileMappedContext(ctx, native, cfg, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*dag.Graph{nil, dag.Build(native)} {
+		err := comp.LendMappedContext(ctx, native, cfg, placement, g, func(res *compiler.Result) error {
+			if !slices.Equal(res.Ops, want.Ops) || !slices.Equal(res.Order, want.Order) ||
+				res.Shuttles != want.Shuttles || res.Reorders != want.Reorders || res.Rebalances != want.Rebalances {
+				t.Errorf("graph %v: lent %d ops, %d shuttles; CompileMappedContext gave %d ops, %d shuttles",
+					g != nil, len(res.Ops), res.Shuttles, len(want.Ops), want.Shuttles)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("graph %v: %v", g != nil, err)
+		}
+	}
+
+	twin, err := circuit.Decompose(bench.Random(48, 300, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := false
+	err = comp.LendMappedContext(ctx, native, cfg, placement, dag.Build(twin), func(*compiler.Result) error {
+		called = true
+		return nil
+	})
+	if err == nil || called {
+		t.Fatalf("a graph of another circuit was accepted (err %v, use called %v)", err, called)
+	}
+
+	useErr := errors.New("use failed")
+	if err := comp.LendMappedContext(ctx, native, cfg, placement, nil, func(*compiler.Result) error { return useErr }); err != useErr {
+		t.Fatalf("err = %v, want use's error", err)
 	}
 }

@@ -313,6 +313,9 @@ func TestMismatchedCellIsRejected(t *testing.T) {
 	}
 	cfg := fastCfg(w)
 	cfg.MaxAttempts = 1
+	// Every mismatch is a dispatch failure, so the breaker opens; a short
+	// cooldown keeps the run from waiting out the default one per cell.
+	cfg.BreakerCooldown = 100 * time.Millisecond
 	c, err := coord.New(cfg)
 	if err != nil {
 		t.Fatal(err)

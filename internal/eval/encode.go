@@ -50,6 +50,9 @@ type ResultJSON struct {
 	Gates2Q   int                     `json:"gates_2q"`
 	Compilers []string                `json:"compilers"`
 	Outcomes  map[string]*OutcomeJSON `json:"outcomes"`
+	// Verified records that every outcome passed the schedule verifier;
+	// omitted when false, so unverified results encode as they always have.
+	Verified bool `json:"verified,omitempty"`
 }
 
 // EncodeResult summarizes a BenchResult into its JSON schema.
@@ -60,40 +63,46 @@ func EncodeResult(r *BenchResult) *ResultJSON {
 		Gates2Q:   r.Gates2Q,
 		Compilers: append([]string(nil), r.Compilers...),
 		Outcomes:  make(map[string]*OutcomeJSON, len(r.Outcomes)),
+		Verified:  r.Verified,
 	}
 	for name, o := range r.Outcomes {
-		j.Outcomes[name] = &OutcomeJSON{
-			Compiler:         o.Compiler,
-			Shuttles:         o.Result.Shuttles,
-			Swaps:            o.Result.Swaps,
-			Splits:           o.Result.Splits,
-			Merges:           o.Result.Merges,
-			Reorders:         o.Result.Reorders,
-			Rebalances:       o.Result.Rebalances,
-			Gates1Q:          o.Result.Gates1Q,
-			Gates2Q:          o.Result.Gates2Q,
-			CompileTimeNS:    o.Result.CompileTime.Nanoseconds(),
-			DirectionPolicy:  o.Result.DirectionPolicy,
-			RebalancePolicy:  o.Result.RebalancePolicy,
-			ReorderPolicy:    o.Result.ReorderPolicy,
-			DurationUS:       o.Sim.Duration,
-			LogFidelity:      o.Sim.LogFidelity,
-			Fidelity:         o.Sim.Fidelity,
-			MaxChainN:        o.Sim.MaxChainN,
-			MeanGateFidelity: o.Sim.MeanGateFidelity,
-			MinGateFidelity:  o.Sim.MinGateFidelity,
-			Coolings:         o.Sim.Coolings,
-			Measures:         o.Sim.Measures,
-		}
+		j.Outcomes[name] = encodeOutcome(o.Compiler, o.Result, o.Sim)
 	}
 	return j
 }
 
-// BenchResult reconstructs a summary-only BenchResult: every counter,
-// policy name, and simulator estimate round-trips, but the operation trace
-// (Result.Ops, Result.Order, placements) and per-gate fidelities do not.
-// The evaluation artifacts (tables, figures, reductions) read only the
-// summary, so decoded results are interchangeable with live ones there.
+// encodeOutcome summarizes one compile and its simulator report.
+func encodeOutcome(name string, res *compiler.Result, rep *sim.Report) *OutcomeJSON {
+	return &OutcomeJSON{
+		Compiler:         name,
+		Shuttles:         res.Shuttles,
+		Swaps:            res.Swaps,
+		Splits:           res.Splits,
+		Merges:           res.Merges,
+		Reorders:         res.Reorders,
+		Rebalances:       res.Rebalances,
+		Gates1Q:          res.Gates1Q,
+		Gates2Q:          res.Gates2Q,
+		CompileTimeNS:    res.CompileTime.Nanoseconds(),
+		DirectionPolicy:  res.DirectionPolicy,
+		RebalancePolicy:  res.RebalancePolicy,
+		ReorderPolicy:    res.ReorderPolicy,
+		DurationUS:       rep.Duration,
+		LogFidelity:      rep.LogFidelity,
+		Fidelity:         rep.Fidelity,
+		MaxChainN:        rep.MaxChainN,
+		MeanGateFidelity: rep.MeanGateFidelity,
+		MinGateFidelity:  rep.MinGateFidelity,
+		Coolings:         rep.Coolings,
+		Measures:         rep.Measures,
+	}
+}
+
+// BenchResult rebuilds the summary BenchResult: every counter, policy name
+// and simulator estimate, but no operation trace (Result.Ops, Result.Order,
+// placements) and no per-gate fidelities. RunCircuit builds its results
+// through the same constructor, so a decoded result equals the live one it
+// was encoded from.
 func (j *ResultJSON) BenchResult() *BenchResult {
 	r := &BenchResult{
 		Name:      j.Circuit,
@@ -101,44 +110,50 @@ func (j *ResultJSON) BenchResult() *BenchResult {
 		Gates2Q:   j.Gates2Q,
 		Compilers: append([]string(nil), j.Compilers...),
 		Outcomes:  make(map[string]*Outcome, len(j.Outcomes)),
+		Verified:  j.Verified,
 	}
 	for name, o := range j.Outcomes {
-		r.Outcomes[name] = &Outcome{
-			Compiler: o.Compiler,
-			Result: &compiler.Result{
-				Circ:            circuit.New(j.Circuit, j.Qubits),
-				Shuttles:        o.Shuttles,
-				Swaps:           o.Swaps,
-				Splits:          o.Splits,
-				Merges:          o.Merges,
-				Reorders:        o.Reorders,
-				Rebalances:      o.Rebalances,
-				Gates1Q:         o.Gates1Q,
-				Gates2Q:         o.Gates2Q,
-				CompileTime:     time.Duration(o.CompileTimeNS) * time.Nanosecond,
-				DirectionPolicy: o.DirectionPolicy,
-				RebalancePolicy: o.RebalancePolicy,
-				ReorderPolicy:   o.ReorderPolicy,
-			},
-			Sim: &sim.Report{
-				Duration:         o.DurationUS,
-				LogFidelity:      o.LogFidelity,
-				Fidelity:         o.Fidelity,
-				Shuttles:         o.Shuttles,
-				Splits:           o.Splits,
-				Merges:           o.Merges,
-				Swaps:            o.Swaps,
-				Coolings:         o.Coolings,
-				Gates1Q:          o.Gates1Q,
-				Gates2Q:          o.Gates2Q,
-				Measures:         o.Measures,
-				MaxChainN:        o.MaxChainN,
-				MeanGateFidelity: o.MeanGateFidelity,
-				MinGateFidelity:  o.MinGateFidelity,
-			},
-		}
+		r.Outcomes[name] = o.outcome(j.Circuit, j.Qubits)
 	}
 	return r
+}
+
+// outcome rebuilds the summary Outcome of one compile of the named circuit.
+func (o *OutcomeJSON) outcome(circuitName string, qubits int) *Outcome {
+	return &Outcome{
+		Compiler: o.Compiler,
+		Result: &compiler.Result{
+			Circ:            circuit.New(circuitName, qubits),
+			Shuttles:        o.Shuttles,
+			Swaps:           o.Swaps,
+			Splits:          o.Splits,
+			Merges:          o.Merges,
+			Reorders:        o.Reorders,
+			Rebalances:      o.Rebalances,
+			Gates1Q:         o.Gates1Q,
+			Gates2Q:         o.Gates2Q,
+			CompileTime:     time.Duration(o.CompileTimeNS) * time.Nanosecond,
+			DirectionPolicy: o.DirectionPolicy,
+			RebalancePolicy: o.RebalancePolicy,
+			ReorderPolicy:   o.ReorderPolicy,
+		},
+		Sim: &sim.Report{
+			Duration:         o.DurationUS,
+			LogFidelity:      o.LogFidelity,
+			Fidelity:         o.Fidelity,
+			Shuttles:         o.Shuttles,
+			Splits:           o.Splits,
+			Merges:           o.Merges,
+			Swaps:            o.Swaps,
+			Coolings:         o.Coolings,
+			Gates1Q:          o.Gates1Q,
+			Gates2Q:          o.Gates2Q,
+			Measures:         o.Measures,
+			MaxChainN:        o.MaxChainN,
+			MeanGateFidelity: o.MeanGateFidelity,
+			MinGateFidelity:  o.MinGateFidelity,
+		},
+	}
 }
 
 // WriteResultJSON serializes a BenchResult summary as indented JSON.

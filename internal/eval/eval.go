@@ -29,6 +29,7 @@ import (
 	"muzzle/internal/circuit"
 	"muzzle/internal/ckey"
 	"muzzle/internal/compiler"
+	"muzzle/internal/dag"
 	"muzzle/internal/fidelity"
 	"muzzle/internal/flight"
 	"muzzle/internal/machine"
@@ -76,13 +77,14 @@ type Options struct {
 	// checked before the group, so cache hits never touch the group's lock.
 	Flight *flight.Group[*BenchResult]
 	// Verify runs the independent schedule verifier (internal/verify) on
-	// every freshly compiled result; violations fail the circuit with a
-	// typed *verify.Error. The MUZZLE_VERIFY environment variable ("1",
+	// every compiled trace before it is simulated; violations fail the
+	// circuit with a typed *verify.Error, and a passing result records
+	// BenchResult.Verified. The MUZZLE_VERIFY environment variable ("1",
 	// "true", "on", "yes") forces it on regardless of this field — a debug
-	// backstop for any run reachable through RunCircuit. Cache hits that
-	// still carry their traces are re-verified too (Verify is not part of
-	// the cache key, so an entry may have been stored by a non-verifying
-	// run); disk-tier summaries have no trace to replay and pass through.
+	// backstop for any run reachable through RunCircuit. Verify is not part
+	// of the cache key, so a verifying run takes an unverified cache hit
+	// (memory or disk) or shared flight result as a miss: it compiles,
+	// verifies, and stores its result over the unverified one.
 	Verify bool
 }
 
@@ -161,13 +163,19 @@ func (o Options) compilerNames() []string {
 	return o.Compilers
 }
 
-// Outcome is one compiler's result on one circuit.
+// Outcome is the summary of one compiler's result on one circuit: what
+// OutcomeJSON carries, no more. The trace is verified and simulated while
+// the compiler lends it and is not kept.
 type Outcome struct {
 	// Compiler is the registry name the outcome belongs to.
 	Compiler string
-	// Result is the compilation result.
+	// Result holds the compilation's counters, policy names and compile
+	// time. Its Ops, Order and InitialPlacement are nil and its Circ is a
+	// header with only the circuit's name and qubit count; compile with
+	// compiler.CompileContext for a trace.
 	Result *compiler.Result
-	// Sim is the simulator report for the compiled trace.
+	// Sim is the simulator report for the compiled trace, without
+	// GateFidelities.
 	Sim *sim.Report
 }
 
@@ -182,7 +190,14 @@ type BenchResult struct {
 	Compilers []string
 	// Outcomes maps each compiler name to its outcome.
 	Outcomes map[string]*Outcome
+	// Verified records that every outcome passed the independent schedule
+	// verifier (internal/verify).
+	Verified bool
 }
+
+// satisfies reports whether r may serve a caller that does or does not
+// ask for verification.
+func (r *BenchResult) satisfies(wantVerify bool) bool { return r.Verified || !wantVerify }
 
 // Outcome returns the named compiler's outcome, or nil if the compiler was
 // not part of the run.
@@ -236,7 +251,8 @@ func (r *BenchResult) Improvement() float64 {
 // (and no custom Mapper is installed), a cached result is returned without
 // invoking any compiler, and fresh results are stored on the way out. When
 // Options.Flight is also set, concurrent callers that miss the cache on the
-// same content key share a single execution.
+// same content key share a single execution. A verifying caller accepts a
+// cached or shared result only if it is Verified.
 func RunCircuit(ctx context.Context, c *circuit.Circuit, opt Options) (*BenchResult, error) {
 	names := opt.compilerNames()
 	useCache := opt.Cache != nil && opt.Mapper == nil
@@ -248,17 +264,7 @@ func RunCircuit(ctx context.Context, c *circuit.Circuit, opt Options) (*BenchRes
 		key = ckey.Key(c, opt.Config, names, opt.Sim)
 	}
 	if useCache {
-		if r, ok := cacheGet(opt.Cache, key, c, opt.Config, names, opt.Sim); ok {
-			// The entry may have been stored by a run that did not verify
-			// (Verify is not part of the cache key), so a verifying caller
-			// re-checks hits that still carry their traces. Disk-tier
-			// summaries have no trace to replay and pass through — the
-			// compile that produced them ran this same code path.
-			if wantVerify {
-				if err := verifyCached(c, r); err != nil {
-					return nil, err
-				}
-			}
+		if r, ok := cacheGet(opt.Cache, key, c, opt.Config, names, opt.Sim); ok && r.satisfies(wantVerify) {
 			return r, nil
 		}
 	}
@@ -270,7 +276,7 @@ func RunCircuit(ctx context.Context, c *circuit.Circuit, opt Options) (*BenchRes
 		// miss above and its promotion to leader; re-checking here keeps the
 		// miss→promotion race from paying a second compile.
 		if useCache {
-			if r, ok := cacheGet(opt.Cache, key, c, opt.Config, names, opt.Sim); ok {
+			if r, ok := cacheGet(opt.Cache, key, c, opt.Config, names, opt.Sim); ok && r.satisfies(wantVerify) {
 				return r, nil
 			}
 		}
@@ -279,23 +285,21 @@ func RunCircuit(ctx context.Context, c *circuit.Circuit, opt Options) (*BenchRes
 	if err != nil {
 		return nil, err
 	}
-	// A shared result was produced under the *leader's* options, which may
-	// not have verified (Verify is not part of the key) — same situation as
-	// a cache hit, with the same remedy.
-	if shared && wantVerify {
-		if err := verifyCached(c, r); err != nil {
-			return nil, err
-		}
+	// A shared result was produced under the leader's options, which may
+	// not have verified: the same situation as an unverified cache hit.
+	if shared && !r.satisfies(wantVerify) {
+		return compileAll(ctx, c, opt, names, key, useCache, wantVerify)
 	}
 	return r, nil
 }
 
 // compileAll runs every configured compiler and the simulator on c and
 // fills the cache on success — the single-execution body behind both the
-// direct and the coalesced paths of RunCircuit. The front end (decomposition
-// and initial placement) does not depend on the compiler, so the first
-// compiler prepares it and every compiler schedules from the same native
-// circuit and placement.
+// direct and the coalesced paths of RunCircuit. Each compile lends its trace
+// to be verified (when asked) and simulated, and only the summary is kept.
+// The outcomes are built through the ResultJSON schema, so a fresh result
+// equals what EncodeResult and BenchResult make of it, as a disk-tier hit
+// does.
 func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []string, key string, useCache, wantVerify bool) (*BenchResult, error) {
 	r := &BenchResult{
 		Name:      c.Name,
@@ -303,6 +307,7 @@ func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []st
 		Gates2Q:   bench.Count2QNative(c),
 		Compilers: names,
 		Outcomes:  make(map[string]*Outcome, len(names)),
+		Verified:  wantVerify,
 	}
 	var fe frontEnd
 	for _, name := range names {
@@ -310,21 +315,29 @@ func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []st
 		if err != nil {
 			return nil, fmt.Errorf("eval %s: %w", c.Name, err)
 		}
-		res, err := compileOne(ctx, c, opt, &fe, factory())
-		if err != nil {
+		var lentErr error // a verify or sim failure, already attributed
+		err = compileOne(ctx, c, opt, &fe, factory(), func(res *compiler.Result) error {
+			if wantVerify {
+				if vs := verify.Result(res); len(vs) > 0 {
+					lentErr = &verify.Error{Circuit: c.Name, Compiler: name, Violations: vs}
+					return lentErr
+				}
+			}
+			rep, err := sim.SimulateContext(ctx, opt.Config, res.InitialPlacement, res.Ops, opt.Sim)
+			if err != nil {
+				lentErr = fmt.Errorf("%s sim: %w", name, err)
+				return lentErr
+			}
+			r.Outcomes[name] = encodeOutcome(name, res, rep).outcome(c.Name, c.NumQubits)
+			return nil
+		})
+		switch {
+		case err == nil:
+		case err == lentErr:
+			return nil, fmt.Errorf("eval %s: %w", c.Name, err)
+		default:
 			return nil, fmt.Errorf("eval %s: %s: %w", c.Name, name, err)
 		}
-		if wantVerify {
-			if vs := verify.Result(res); len(vs) > 0 {
-				return nil, fmt.Errorf("eval %s: %w",
-					c.Name, &verify.Error{Circuit: c.Name, Compiler: name, Violations: vs})
-			}
-		}
-		rep, err := sim.SimulateContext(ctx, opt.Config, res.InitialPlacement, res.Ops, opt.Sim)
-		if err != nil {
-			return nil, fmt.Errorf("eval %s: %s sim: %w", c.Name, name, err)
-		}
-		r.Outcomes[name] = &Outcome{Compiler: name, Result: res, Sim: rep}
 	}
 	if useCache {
 		cachePut(opt.Cache, key, c, opt.Config, names, opt.Sim, r)
@@ -333,59 +346,52 @@ func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []st
 }
 
 // frontEnd is a circuit's compiler-independent preparation: its native
-// decomposition and initial placement, shared by every compiler of a run.
+// decomposition, initial placement and dependency graph, built once and
+// only read by every compiler of a run.
 type frontEnd struct {
 	native    *circuit.Circuit
 	placement [][]int
+	graph     *dag.Graph
 }
 
-// compileOne invokes one compiler with panic containment: the harness
-// runs arbitrary registered policies and mappers, and a buggy one must
-// fail its circuit with a structured error instead of crashing the process
-// (the daemon serves many jobs; a sweep has many more cells). The first
-// call prepares fe the way CompileContext (or CompileWithMapperContext
-// with Options.Mapper) would; every call then schedules from it.
-func compileOne(ctx context.Context, c *circuit.Circuit, opt Options, fe *frontEnd, comp *compiler.Compiler) (res *compiler.Result, err error) {
+// prepare fills an empty fe the way CompileContext (or
+// CompileWithMapperContext with Options.Mapper) prepares a compile.
+func (fe *frontEnd) prepare(c *circuit.Circuit, opt Options) error {
+	if fe.native != nil {
+		return nil
+	}
+	native, err := circuit.Decompose(c)
+	if err != nil {
+		return err
+	}
+	var placement [][]int
+	if opt.Mapper != nil {
+		placement, err = opt.Mapper.Place(native, opt.Config)
+	} else {
+		placement, err = compiler.GreedyPlacement(native, opt.Config)
+	}
+	if err != nil {
+		return err
+	}
+	*fe = frontEnd{native: native, placement: placement, graph: dag.Build(native)}
+	return nil
+}
+
+// compileOne runs one compiler with panic containment: the harness runs
+// arbitrary registered policies and mappers, and a buggy one must fail its
+// circuit with a structured error instead of crashing the process (the
+// daemon serves many jobs; a sweep has many more cells). The first call
+// prepares fe; every call schedules from it and lends the result to use.
+func compileOne(ctx context.Context, c *circuit.Circuit, opt Options, fe *frontEnd, comp *compiler.Compiler, use func(*compiler.Result) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("compiler panicked: %v", p)
+			err = fmt.Errorf("compiler panicked: %v", p)
 		}
 	}()
-	if fe.native == nil {
-		native, err := circuit.Decompose(c)
-		if err != nil {
-			return nil, err
-		}
-		var placement [][]int
-		if opt.Mapper != nil {
-			placement, err = opt.Mapper.Place(native, opt.Config)
-		} else {
-			placement, err = compiler.GreedyPlacement(native, opt.Config)
-		}
-		if err != nil {
-			return nil, err
-		}
-		*fe = frontEnd{native: native, placement: placement}
+	if err := fe.prepare(c, opt); err != nil {
+		return err
 	}
-	return comp.CompileMappedContext(ctx, fe.native, opt.Config, fe.placement)
-}
-
-// verifyCached replays a cache hit's outcomes through the verifier.
-// Summary-only outcomes (reloaded from the disk tier, no trace) are
-// skipped: they cannot be replayed, and the evaluation that wrote them
-// compiled through this same function.
-func verifyCached(c *circuit.Circuit, r *BenchResult) error {
-	for _, name := range r.Compilers {
-		o := r.Outcomes[name]
-		if o == nil || o.Result == nil || o.Result.InitialPlacement == nil {
-			continue
-		}
-		if vs := verify.Result(o.Result); len(vs) > 0 {
-			return fmt.Errorf("eval %s (cached): %w",
-				c.Name, &verify.Error{Circuit: c.Name, Compiler: name, Violations: vs})
-		}
-	}
-	return nil
+	return comp.LendMappedContext(ctx, fe.native, opt.Config, fe.placement, fe.graph, use)
 }
 
 // RunNISQ evaluates the five NISQ benchmarks of Table II, in paper order.

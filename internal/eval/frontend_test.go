@@ -12,6 +12,7 @@ import (
 	"muzzle/internal/compiler"
 	"muzzle/internal/machine"
 	"muzzle/internal/registry"
+	"muzzle/internal/sim"
 )
 
 // frontEndCircuits are the Table II programs plus a few random circuits.
@@ -39,12 +40,18 @@ func sameResult(got, want *compiler.Result) string {
 		len(g.Ops), g.Shuttles, g.Reorders, len(w.Ops), w.Shuttles, w.Reorders)
 }
 
-// RunCircuit decomposes and places each circuit once for all compilers; its
-// outcomes must equal what each compiler's own CompileContext produces.
-func TestRunCircuitMatchesCompileContext(t *testing.T) {
+// checkFrontEnd runs each circuit's shared front end through the lending
+// compile, keeping a copy of what it lends, and requires it to equal the
+// compiler's own compile of the circuit. RunCircuit's summary must equal the
+// summary of that own compile followed by SimulateContext.
+func checkFrontEnd(t *testing.T, opt Options, own func(*compiler.Compiler, *circuit.Circuit) (*compiler.Result, error)) {
+	t.Helper()
 	ctx := context.Background()
-	opt := DefaultOptions()
 	for _, c := range frontEndCircuits() {
+		var fe frontEnd
+		if err := fe.prepare(c, opt); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
 		r, err := RunCircuit(ctx, c, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
@@ -54,42 +61,54 @@ func TestRunCircuitMatchesCompileContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := factory().CompileContext(ctx, c, opt.Config)
+			var got *compiler.Result
+			err = factory().LendMappedContext(ctx, fe.native, opt.Config, fe.placement, fe.graph, func(res *compiler.Result) error {
+				kept := *res
+				kept.Ops = append([]machine.Op(nil), res.Ops...)
+				got = &kept
+				return nil
+			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.Name, name, err)
 			}
-			if diff := sameResult(r.Outcome(name).Result, want); diff != "" {
-				t.Errorf("%s/%s: RunCircuit gave %s", c.Name, name, diff)
+			want, err := own(factory(), c)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, name, err)
+			}
+			if diff := sameResult(got, want); diff != "" {
+				t.Errorf("%s/%s: the shared front end gave %s", c.Name, name, diff)
+			}
+			rep, err := sim.SimulateContext(ctx, opt.Config, want.InitialPlacement, want.Ops, opt.Sim)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, name, err)
+			}
+			gotSum, wantSum := *EncodeResult(r).Outcomes[name], *encodeOutcome(name, want, rep)
+			gotSum.CompileTimeNS, wantSum.CompileTimeNS = 0, 0
+			if gotSum != wantSum {
+				t.Errorf("%s/%s: RunCircuit summary %+v, want %+v", c.Name, name, gotSum, wantSum)
 			}
 		}
 	}
 }
 
+// RunCircuit decomposes, places and builds the dependency graph of each
+// circuit once for all compilers; its compiles must equal what each
+// compiler's own CompileContext produces.
+func TestRunCircuitMatchesCompileContext(t *testing.T) {
+	opt := DefaultOptions()
+	checkFrontEnd(t, opt, func(comp *compiler.Compiler, c *circuit.Circuit) (*compiler.Result, error) {
+		return comp.CompileContext(context.Background(), c, opt.Config)
+	})
+}
+
 // With a custom mapper, the shared placement must equal what
 // CompileWithMapperContext computes for each compiler.
 func TestRunCircuitMapperMatchesCompileWithMapper(t *testing.T) {
-	ctx := context.Background()
 	opt := DefaultOptions()
 	opt.Mapper = compiler.RoundRobinMapper{}
-	for _, c := range frontEndCircuits() {
-		r, err := RunCircuit(ctx, c, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		for _, name := range DefaultCompilers() {
-			factory, err := registry.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := factory().CompileWithMapperContext(ctx, c, opt.Config, opt.Mapper)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", c.Name, name, err)
-			}
-			if diff := sameResult(r.Outcome(name).Result, want); diff != "" {
-				t.Errorf("%s/%s: RunCircuit gave %s", c.Name, name, diff)
-			}
-		}
-	}
+	checkFrontEnd(t, opt, func(comp *compiler.Compiler, c *circuit.Circuit) (*compiler.Result, error) {
+		return comp.CompileWithMapperContext(context.Background(), c, opt.Config, opt.Mapper)
+	})
 }
 
 // panicMapper is a deliberately broken placement policy.

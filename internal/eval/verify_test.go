@@ -73,38 +73,53 @@ func (c *mapCache) Put(circ *circuit.Circuit, _ machine.Config, _ []string, _ si
 }
 
 // TestRunCircuitVerifyCacheHit pins that a verifying caller is not fooled
-// by a cache entry stored by a non-verifying run: hits that still carry
-// their traces are re-verified, and a tampered entry is rejected.
+// by a cache entry stored by a non-verifying run: an unverified hit is a
+// miss for it, so a tampered entry never reaches it, and the verified
+// result it compiles instead is stored over the entry.
 func TestRunCircuitVerifyCacheHit(t *testing.T) {
+	ctx := context.Background()
 	opt := smallOptions()
 	cache := &mapCache{m: make(map[string]*BenchResult)}
 	opt.Cache = cache
 	circ := bench.QFT(8)
 	// Populate without verification.
-	if _, err := RunCircuit(context.Background(), circ, opt); err != nil {
+	fresh, err := RunCircuit(ctx, circ, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A clean hit passes verification.
-	opt.Verify = true
-	if _, err := RunCircuit(context.Background(), circ, opt); err != nil {
-		t.Fatalf("clean cache hit rejected: %v", err)
+	if fresh.Verified {
+		t.Fatal("a run without verification produced a Verified result")
 	}
-	// Tamper with the cached trace: the verifying caller must reject it.
+	// Tamper with the unverified entry.
 	cached := cache.m[circ.Name]
 	name := cached.Compilers[0]
+	wantShuttles := fresh.Outcome(name).Result.Shuttles
 	bad := *cached.Outcomes[name].Result
-	bad.Ops = bad.Ops[:len(bad.Ops)-1]
+	bad.Shuttles = -1
 	cached.Outcomes[name] = &Outcome{Compiler: name, Result: &bad, Sim: cached.Outcomes[name].Sim}
-	_, err := RunCircuit(context.Background(), circ, opt)
-	var vErr *verify.Error
-	if !errors.As(err, &vErr) {
-		t.Fatalf("tampered cache hit not rejected with a verify error: %v", err)
-	}
 	// Without verification the tampered hit still flows through (the
 	// historical contract: the cache is trusted unless asked otherwise).
-	opt.Verify = false
-	if _, err := RunCircuit(context.Background(), circ, opt); err != nil {
-		t.Fatalf("non-verifying run rejected a cache hit: %v", err)
+	if r, err := RunCircuit(ctx, circ, opt); err != nil || r != cached {
+		t.Fatalf("non-verifying run did not serve the cache hit (err %v)", err)
+	}
+	// The verifying caller compiles, verifies, and stores over the entry.
+	opt.Verify = true
+	r, err := RunCircuit(ctx, circ, opt)
+	if err != nil {
+		t.Fatalf("verifying run: %v", err)
+	}
+	if r == cached || !r.Verified {
+		t.Fatalf("verifying run accepted the unverified entry (Verified %v)", r.Verified)
+	}
+	if got := r.Outcome(name).Result.Shuttles; got != wantShuttles {
+		t.Fatalf("verifying run: %s shuttles = %d, want %d", name, got, wantShuttles)
+	}
+	if cache.m[circ.Name] != r {
+		t.Fatal("verified result was not stored over the unverified entry")
+	}
+	// A verified entry serves the next verifying caller.
+	if again, err := RunCircuit(ctx, circ, opt); err != nil || again != r {
+		t.Fatalf("verified entry not served to a verifying caller (err %v)", err)
 	}
 }
 

@@ -56,6 +56,17 @@ func (g *gate) allow(gen int32, n int) {
 	}
 }
 
+// drain takes back the generation's unused tokens.
+func (g *gate) drain(gen int32) {
+	for {
+		select {
+		case <-g.tokens[gen]:
+		default:
+			return
+		}
+	}
+}
+
 // Each test owns a gate: tokens released for one test can never unblock
 // another test's workers.
 var (
@@ -421,6 +432,12 @@ func TestDrainLeavesQueuedPending(t *testing.T) {
 // rejected with 429 + Retry-After, and the rejection is counted.
 func TestAdmissionControl(t *testing.T) {
 	admitGate.register()
+	// Cleanups run last in, first out: the tokens released first unblock
+	// any compile still waiting, so the manager can close, and the drain
+	// after the close takes back the ones no compile used. The gate is
+	// process-global, and a token left over would let the next run's first
+	// job through without blocking.
+	t.Cleanup(func() { admitGate.drain(0) })
 	mgr, srv := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1})
 	t.Cleanup(func() { admitGate.allow(0, 8) })
 	_ = mgr

@@ -92,12 +92,15 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 // only once its submission is durable), then queue and table. Admission is
 // checked against the configured depth, not the channel capacity — the
 // channel is sized with headroom for recovered jobs, so the send below can
-// never block once the depth check passes.
+// never block once the depth check passes. The returned view is taken
+// before publication, so it describes the job as admitted (pending) even
+// when a worker finishes it, say on a cache hit, before the caller answers.
 func (m *Manager) enqueue(j *job) (JobView, error) {
 	// Record the pending event before the job becomes visible to workers,
 	// so the replayed history is always in lifecycle order even when a
 	// worker dequeues and starts the job immediately.
 	j.emit(Event{Kind: EventState, State: StatePending})
+	admitted := m.view(j)
 
 	m.mu.Lock()
 	if m.closed {
@@ -121,7 +124,7 @@ func (m *Manager) enqueue(j *job) (JobView, error) {
 	m.jobs[j.id] = j
 	m.submitted++
 	m.mu.Unlock()
-	return m.view(j), nil
+	return admitted, nil
 }
 
 // Get returns a job snapshot.

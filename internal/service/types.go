@@ -84,10 +84,12 @@ type Request struct {
 	Compilers []string `json:"compilers,omitempty"`
 	// TimeoutMS bounds the job's run; 0 means no per-job timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Verify runs the independent schedule verifier on every freshly
-	// compiled result of this job; violations fail the job with a typed
-	// verification error (never a panic). The daemon-wide Config.Verify
-	// forces this on for every job.
+	// Verify runs the independent schedule verifier on every compiled
+	// trace of this job; violations fail the job with a typed verification
+	// error (never a panic). A cache hit or shared result that no
+	// verifying run produced is compiled and verified again, and verified
+	// results carry "verified": true. The daemon-wide Config.Verify forces
+	// this on for every job.
 	Verify bool `json:"verify,omitempty"`
 }
 

@@ -19,10 +19,10 @@ type Options struct {
 	// of the same group (daemon jobs, the CLI) — so duplicates that race
 	// past the cache still cost one compile.
 	Flight *muzzle.Flight
-	// Verify runs the independent schedule verifier on every freshly
-	// compiled result and on cache hits that still carry their traces
-	// (summary-only disk entries pass through); violations mark the cell
-	// failed (CellReport.Error) rather than aborting the sweep.
+	// Verify runs the independent schedule verifier on every compiled
+	// trace; violations mark the cell failed (CellReport.Error) rather than
+	// aborting the sweep. A cache hit or shared result that no verifying
+	// run produced is compiled and verified again.
 	Verify bool
 }
 

@@ -43,8 +43,8 @@ type JSONTrace struct {
 }
 
 // WriteJSON serializes the compilation result as indented JSON. A
-// summary-only result, such as one decoded from the compile cache's disk
-// tier, has no machine to export and is an error.
+// summary-only result, such as an evaluation outcome or a compile-cache
+// entry, has no machine to export and is an error.
 func WriteJSON(w io.Writer, res *compiler.Result) error {
 	if err := res.Config.Validate(); err != nil {
 		return err

@@ -15,8 +15,8 @@ import (
 // DAG linearization whose physical subsequence matches the executed trace.
 // An empty slice means the schedule is provably legal.
 //
-// Summary-only results (reloaded from the compile cache's disk tier, which
-// drops the operation trace) cannot be replayed; they yield a single
+// Summary-only results (evaluation outcomes and compile-cache entries,
+// which keep no operation trace) cannot be replayed; they yield a single
 // KindMetadata violation saying so.
 func Result(res *compiler.Result) []Violation {
 	if res == nil {
@@ -27,7 +27,7 @@ func Result(res *compiler.Result) []Violation {
 	}
 	if res.InitialPlacement == nil {
 		return []Violation{{Op: -1, Kind: KindMetadata,
-			Detail: "result carries no operation trace (summary-only, e.g. reloaded from the disk cache); recompile to verify"}}
+			Detail: "result carries no operation trace (summary-only, e.g. an evaluation outcome or cache entry); recompile to verify"}}
 	}
 	g := dag.Build(res.Circ)
 	vs := replay(res.Circ, res.Config, res.InitialPlacement, res.Ops, g)

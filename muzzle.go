@@ -108,8 +108,8 @@ type SimReport = sim.Report
 // BenchSpec describes one benchmark of the paper's suite.
 type BenchSpec = bench.Spec
 
-// EvalResult holds per-compiler outcomes for one circuit; the paper's
-// artifacts read its reference pair (Pair, Reduction, Improvement).
+// EvalResult holds per-compiler outcome summaries for one circuit; the
+// paper's artifacts read its reference pair (Pair, Reduction, Improvement).
 type EvalResult = eval.BenchResult
 
 // OptimizerOptions select which of the paper's three heuristics are active;

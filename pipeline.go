@@ -329,8 +329,11 @@ const (
 // Result or Err is set.
 type EvalItem = eval.ItemResult
 
-// EvalOutcome is one compiler's compilation result and simulator report on
-// one circuit.
+// EvalOutcome is the summary of one compiler's result on one circuit: the
+// compilation's counters, policy names and compile time, and the simulator
+// report. Its Result carries no trace (Ops, Order and InitialPlacement are
+// nil), so trace exports reject it; compile the circuit with
+// Pipeline.Compile for a trace.
 type EvalOutcome = eval.Outcome
 
 // RandomSuiteParams are the random benchmark suite statistics

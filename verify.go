@@ -57,13 +57,14 @@ type VerifyError = verify.Error
 func Verify(res *CompileResult) []Violation { return verify.Result(res) }
 
 // WithVerify makes every evaluation run (Evaluate, EvaluateStream,
-// EvaluateCircuit, EvaluateNISQ, EvaluateRandom) replay each freshly
-// compiled schedule through the independent verifier; violations fail the
-// circuit with an ErrVerify error carrying a *VerifyError. Compilation
-// typically dominates verification cost by a wide margin, so the check is
-// cheap insurance for untrusted inputs and new compiler variants. The
-// MUZZLE_VERIFY=1 environment variable forces the same check on any
-// pipeline without code changes.
+// EvaluateCircuit, EvaluateNISQ, EvaluateRandom) replay each compiled
+// schedule through the independent verifier; violations fail the circuit
+// with an ErrVerify error carrying a *VerifyError, and verified results
+// record EvalResult.Verified. A cache hit or shared flight result that no
+// verifying run produced is compiled and verified again. Verification costs
+// about as much CPU as the compile it checks. The MUZZLE_VERIFY=1
+// environment variable forces the same check on any pipeline without code
+// changes.
 func WithVerify() PipelineOption {
 	return func(p *Pipeline) error {
 		p.opt.Verify = true
