@@ -165,10 +165,7 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 		res = r
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }
 
 // LendMappedContext schedules like CompileMappedContext, then calls use with
