@@ -100,21 +100,19 @@ func TestCellEndpointValidation(t *testing.T) {
 	check("negative timeout", coord.CellRequest{Grid: testGrid(), Index: 0, TimeoutMS: -5}, http.StatusBadRequest, "bad_request")
 }
 
-// cellGate freezes a worker so the cell-endpoint backpressure test can
-// fill the admission queue deterministically (each test owns its gate).
-var cellGate = &gate{name: "cellgate"}
-
 // Cell submissions ride the same admission control as every other job:
 // past the queue bound they get 429 + Retry-After, the signal the
 // coordinator's backpressure path honors.
 func TestCellEndpointBackpressure(t *testing.T) {
-	cellGate.register()
+	// A gated compiler freezes the worker, so the queue fills
+	// deterministically.
+	cellGate := newGate("cellgate")
 	mgr, srv := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1})
 
 	base := cellGate.count.Load()
-	a := submit(t, srv, service.Request{Name: "a", QASM: testQASM, Compilers: []string{"cellgate"}})
+	a := submit(t, srv, service.Request{Name: "a", QASM: testQASM, Compilers: []string{cellGate.name}})
 	waitFor(t, "job a to occupy the worker", func() bool { return cellGate.count.Load() == base+1 })
-	b := submit(t, srv, service.Request{Name: "b", QASM: testQASM, Compilers: []string{"cellgate"}})
+	b := submit(t, srv, service.Request{Name: "b", QASM: testQASM, Compilers: []string{cellGate.name}})
 
 	resp := postCell(t, srv, coord.CellRequest{Grid: testGrid(), Index: 0})
 	defer resp.Body.Close()

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,8 +20,8 @@ import (
 	"muzzle/internal/sweep"
 )
 
-// gate registers (once) a compiler whose factory counts its invocations
-// and then blocks until a token is released — the deterministic handle the
+// gate is a registered compiler whose factory counts its invocations and
+// then blocks until a token is released — the deterministic handle the
 // durability tests use to freeze a worker mid-compile. The factory reads
 // its generation before blocking, so a test can abandon a wedged manager
 // (simulated kill -9), bump the generation, and release tokens that only
@@ -33,20 +32,25 @@ type gate struct {
 	count  atomic.Int64
 	gen    atomic.Int32
 	tokens [2]chan struct{}
-	once   sync.Once
 }
 
-func (g *gate) register() {
-	g.once.Do(func() {
-		g.tokens[0] = make(chan struct{}, 1024)
-		g.tokens[1] = make(chan struct{}, 1024)
-		muzzle.MustRegisterCompiler(g.name, func() *muzzle.Compiler {
-			gen := g.gen.Load()
-			g.count.Add(1)
-			<-g.tokens[gen]
-			return muzzle.NewOptimizedCompiler()
-		})
+// gates numbers the gates newGate registers.
+var gates atomic.Int32
+
+// newGate registers a gate under a compiler name of its own. Each run of a
+// test, -count repetitions included, takes a new gate, so tokens one run
+// leaves unused, or a worker it leaves frozen, can never reach another.
+func newGate(prefix string) *gate {
+	g := &gate{name: fmt.Sprintf("%s-%d", prefix, gates.Add(1))}
+	g.tokens[0] = make(chan struct{}, 1024)
+	g.tokens[1] = make(chan struct{}, 1024)
+	muzzle.MustRegisterCompiler(g.name, func() *muzzle.Compiler {
+		gen := g.gen.Load()
+		g.count.Add(1)
+		<-g.tokens[gen]
+		return muzzle.NewOptimizedCompiler()
 	})
+	return g
 }
 
 // allow releases n compile tokens for the given generation.
@@ -55,27 +59,6 @@ func (g *gate) allow(gen int32, n int) {
 		g.tokens[gen] <- struct{}{}
 	}
 }
-
-// drain takes back the generation's unused tokens.
-func (g *gate) drain(gen int32) {
-	for {
-		select {
-		case <-g.tokens[gen]:
-		default:
-			return
-		}
-	}
-}
-
-// Each test owns a gate: tokens released for one test can never unblock
-// another test's workers.
-var (
-	crashGate  = &gate{name: "crashgate"}
-	flightGate = &gate{name: "flightgate"}
-	cancelGate = &gate{name: "cancelgate"}
-	drainGate  = &gate{name: "draingate"}
-	admitGate  = &gate{name: "admitgate"}
-)
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -128,7 +111,7 @@ func durabilityGrid(compiler string) sweep.Grid {
 // the recovered sweep finishes without re-compiling any finished cell —
 // every completed cell is served by the shared content-addressed cache.
 func TestCrashRecoverySweep(t *testing.T) {
-	crashGate.register()
+	crashGate := newGate("crashgate")
 	dir := t.TempDir()
 	cache, err := muzzle.NewCache(muzzle.CacheConfig{MaxEntries: 256})
 	if err != nil {
@@ -145,7 +128,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 	mgr1 := service.New(service.Config{
 		Workers: 1, SweepParallelism: 1, Cache: cache, Journal: j1,
 	})
-	view, err := mgr1.SubmitSweep(durabilityGrid("crashgate"))
+	view, err := mgr1.SubmitSweep(durabilityGrid(crashGate.name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +199,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 // first's in-flight execution, verified down to the factory counter and
 // up to the /metrics counters.
 func TestSingleFlightEndToEnd(t *testing.T) {
-	flightGate.register()
+	flightGate := newGate("flightgate")
 	cache, err := muzzle.NewCache(muzzle.CacheConfig{MaxEntries: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +211,7 @@ func TestSingleFlightEndToEnd(t *testing.T) {
 	t.Cleanup(func() { flightGate.allow(0, 8) })
 
 	base := flightGate.count.Load()
-	req := service.Request{Name: "dup", QASM: testQASM, Compilers: []string{"flightgate"}}
+	req := service.Request{Name: "dup", QASM: testQASM, Compilers: []string{flightGate.name}}
 	v1 := submit(t, srv, req)
 	v2 := submit(t, srv, req)
 
@@ -283,7 +266,7 @@ func TestSingleFlightEndToEnd(t *testing.T) {
 // restart (the journal records the client's decision), while a completed
 // job comes back queryable with its results.
 func TestDurableCancelAcrossRestart(t *testing.T) {
-	cancelGate.register()
+	cancelGate := newGate("cancelgate")
 	dir := t.TempDir()
 	j1, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -294,12 +277,12 @@ func TestDurableCancelAcrossRestart(t *testing.T) {
 	// Job A occupies the only worker (frozen in its factory); job B queues
 	// behind it and is canceled while pending.
 	base := cancelGate.count.Load()
-	a, err := mgr1.Submit(service.Request{Name: "a", QASM: testQASM, Compilers: []string{"cancelgate"}})
+	a, err := mgr1.Submit(service.Request{Name: "a", QASM: testQASM, Compilers: []string{cancelGate.name}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "job a to start compiling", func() bool { return cancelGate.count.Load() == base+1 })
-	b, err := mgr1.Submit(service.Request{Name: "b", QASM: testQASM, Compilers: []string{"cancelgate"}})
+	b, err := mgr1.Submit(service.Request{Name: "b", QASM: testQASM, Compilers: []string{cancelGate.name}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +333,7 @@ func TestDurableCancelAcrossRestart(t *testing.T) {
 // lets the running job finish, leaves the queued job untouched — and the
 // next process recovers and completes it.
 func TestDrainLeavesQueuedPending(t *testing.T) {
-	drainGate.register()
+	drainGate := newGate("draingate")
 	dir := t.TempDir()
 	j1, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -361,7 +344,7 @@ func TestDrainLeavesQueuedPending(t *testing.T) {
 	defer srv.Close()
 
 	base := drainGate.count.Load()
-	a, err := mgr1.Submit(service.Request{Name: "a", QASM: testQASM, Compilers: []string{"draingate"}})
+	a, err := mgr1.Submit(service.Request{Name: "a", QASM: testQASM, Compilers: []string{drainGate.name}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,21 +414,15 @@ func TestDrainLeavesQueuedPending(t *testing.T) {
 // TestAdmissionControl: past the queue-depth bound, submissions are
 // rejected with 429 + Retry-After, and the rejection is counted.
 func TestAdmissionControl(t *testing.T) {
-	admitGate.register()
-	// Cleanups run last in, first out: the tokens released first unblock
-	// any compile still waiting, so the manager can close, and the drain
-	// after the close takes back the ones no compile used. The gate is
-	// process-global, and a token left over would let the next run's first
-	// job through without blocking.
-	t.Cleanup(func() { admitGate.drain(0) })
+	admitGate := newGate("admitgate")
 	mgr, srv := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1})
 	t.Cleanup(func() { admitGate.allow(0, 8) })
 	_ = mgr
 
 	base := admitGate.count.Load()
-	a := submit(t, srv, service.Request{Name: "a", QASM: testQASM, Compilers: []string{"admitgate"}})
+	a := submit(t, srv, service.Request{Name: "a", QASM: testQASM, Compilers: []string{admitGate.name}})
 	waitFor(t, "job a to occupy the worker", func() bool { return admitGate.count.Load() == base+1 })
-	b := submit(t, srv, service.Request{Name: "b", QASM: testQASM, Compilers: []string{"admitgate"}})
+	b := submit(t, srv, service.Request{Name: "b", QASM: testQASM, Compilers: []string{admitGate.name}})
 
 	// Worker busy, queue full: the third submission is shed.
 	body, _ := json.Marshal(service.Request{Name: "c", QASM: testQASM})
