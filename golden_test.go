@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/paper.golden from the current output")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from the current output")
 
 // TestPaperArtifactsGolden pins the paper's artifacts byte for byte: Table
 // II, Fig. 8 and the headline summary over the five NISQ programs and the

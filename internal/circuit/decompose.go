@@ -98,13 +98,13 @@ func decomposeGate(out *Circuit, g Gate) error {
 		out.Add1Q("r", q[1], -math.Pi/2, 0)
 		out.Add1Q("r", q[0], -math.Pi/2, math.Pi/2) // Ry(-pi/2)
 	case "cz": // CZ = (I ⊗ H) CX (I ⊗ H)
-		if err := decomposeGate(out, Gate{Name: "h", Qubits: []int{q[1]}}); err != nil {
+		if err := decomposeGate(out, Gate{Name: "h", Qubits: q[1:2]}); err != nil {
 			return err
 		}
 		if err := decomposeGate(out, Gate{Name: "cx", Qubits: q}); err != nil {
 			return err
 		}
-		return decomposeGate(out, Gate{Name: "h", Qubits: []int{q[1]}})
+		return decomposeGate(out, Gate{Name: "h", Qubits: q[1:2]})
 	case "cp", "cu1": // controlled-phase: 2 CX + 3 RZ
 		th := param(0)
 		out.Add1Q("rz", q[0], th/2)

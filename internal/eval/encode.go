@@ -100,9 +100,8 @@ func encodeOutcome(name string, res *compiler.Result, rep *sim.Report) *OutcomeJ
 
 // BenchResult rebuilds the summary BenchResult: every counter, policy name
 // and simulator estimate, but no operation trace (Result.Ops, Result.Order,
-// placements) and no per-gate fidelities. RunCircuit builds its results
-// through the same constructor, so a decoded result equals the live one it
-// was encoded from.
+// placements). RunCircuit builds its results through the same constructor,
+// so a decoded result equals the live one it was encoded from.
 func (j *ResultJSON) BenchResult() *BenchResult {
 	r := &BenchResult{
 		Name:      j.Circuit,

@@ -67,7 +67,7 @@ func TestRunCircuitResultIsItsSummary(t *testing.T) {
 				t.Errorf("%s (verify %v): EncodeResult(r).BenchResult() differs from r", c.Name, verified)
 			}
 			for name, o := range r.Outcomes {
-				if o.Result.Ops != nil || o.Result.Order != nil || o.Result.InitialPlacement != nil || o.Sim.GateFidelities != nil {
+				if o.Result.Ops != nil || o.Result.Order != nil || o.Result.InitialPlacement != nil {
 					t.Errorf("%s/%s: outcome keeps a trace", c.Name, name)
 				}
 			}

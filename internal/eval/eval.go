@@ -174,8 +174,7 @@ type Outcome struct {
 	// header with only the circuit's name and qubit count; compile with
 	// compiler.CompileContext for a trace.
 	Result *compiler.Result
-	// Sim is the simulator report for the compiled trace, without
-	// GateFidelities.
+	// Sim is the simulator report for the compiled trace.
 	Sim *sim.Report
 }
 

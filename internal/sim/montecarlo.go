@@ -109,11 +109,10 @@ func SampleSuccessContext(ctx context.Context, cfg machine.Config, initial [][]i
 	if trials <= 0 {
 		return nil, fmt.Errorf("sim: non-positive trial count %d", trials)
 	}
-	rep, err := SimulateContext(ctx, cfg, initial, ops, params)
+	rep, fids, err := replay(ctx, cfg, initial, ops, params, true)
 	if err != nil {
 		return nil, err
 	}
-	fids := rep.GateFidelities
 
 	chunks := (trials + mcChunk - 1) / mcChunk
 	workers := min(runtime.GOMAXPROCS(0), chunks)

@@ -155,9 +155,6 @@ type Report struct {
 	MeanGateFidelity float64
 	// MinGateFidelity is the worst single gate.
 	MinGateFidelity float64
-	// GateFidelities lists every executed gate's fidelity in trace order;
-	// consumed by the Monte Carlo sampler (SampleSuccessContext).
-	GateFidelities []float64
 }
 
 // cancelCheckStride bounds how many trace ops replay between context
@@ -171,40 +168,53 @@ const cancelCheckStride = 4096
 // during replay match what the compiler saw. The replay loop checks ctx
 // every few thousand ops and aborts with ctx.Err().
 func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, ops []machine.Op, params Params) (*Report, error) {
+	rep, _, err := replay(ctx, cfg, initial, ops, params, false)
+	return rep, err
+}
+
+// replay is the simulation behind SimulateContext and SampleSuccessContext.
+// With withFids it also returns every executed gate's fidelity in trace
+// order, the list the Monte Carlo sampler draws against; without it the
+// list is nil and costs nothing.
+func replay(ctx context.Context, cfg machine.Config, initial [][]int, ops []machine.Op, params Params, withFids bool) (*Report, []float64, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := params.Time.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := params.Cooling.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st, err := machine.NewState(cfg, initial)
 	if err != nil {
-		return nil, fmt.Errorf("sim: bad initial placement: %w", err)
+		return nil, nil, fmt.Errorf("sim: bad initial placement: %w", err)
 	}
 	nTraps := cfg.Topology.NumTraps()
 	heat, err := heating.NewModel(params.Heating, nTraps, st.NumIons())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	acc, err := fidelity.NewAccumulator(params.Fidelity)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	clock := make([]float64, nTraps)
 	lastHeat := make([]float64, nTraps)
-	// Every 1Q and 2Q gate op records one fidelity; counting them first
-	// sizes the list once instead of regrowing it by append.
-	nGates := 0
-	for _, op := range ops {
-		if op.Kind == machine.OpGate1Q || op.Kind == machine.OpGate2Q {
-			nGates++
+	var fids []float64
+	if withFids {
+		// Every 1Q and 2Q gate op records one fidelity; counting them
+		// first sizes the list once instead of regrowing it by append.
+		nGates := 0
+		for _, op := range ops {
+			if op.Kind == machine.OpGate1Q || op.Kind == machine.OpGate2Q {
+				nGates++
+			}
 		}
+		fids = make([]float64, 0, nGates)
 	}
-	rep := &Report{GateFidelities: make([]float64, 0, nGates)}
+	rep := &Report{}
 
 	// advance moves trap t's clock forward by dur, integrating background
 	// heating over the elapsed interval first.
@@ -232,14 +242,17 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 	for i, op := range ops {
 		if i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: canceled at op %d/%d: %w", i, len(ops), err)
+				return nil, nil, fmt.Errorf("sim: canceled at op %d/%d: %w", i, len(ops), err)
 			}
 		}
 		switch op.Kind {
 		case machine.OpGate1Q:
 			t := st.IonTrap(int(op.Ion))
 			advance(t, params.Time.Gate1Q)
-			rep.GateFidelities = append(rep.GateFidelities, acc.Add(params.Time.Gate1Q, heat.ChainN(t), st.Occupancy(t)))
+			f := acc.Add(params.Time.Gate1Q, heat.ChainN(t), st.Occupancy(t))
+			if withFids {
+				fids = append(fids, f)
+			}
 			rep.Gates1Q++
 		case machine.OpMeasure:
 			t := st.IonTrap(int(op.Ion))
@@ -248,11 +261,14 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 		case machine.OpGate2Q:
 			t := st.IonTrap(int(op.Ion))
 			if st.IonTrap(int(op.Ion2)) != t {
-				return nil, fmt.Errorf("sim: op %d (%s): ions not co-located at replay", i, op)
+				return nil, nil, fmt.Errorf("sim: op %d (%s): ions not co-located at replay", i, op)
 			}
 			dur := params.Time.Gate2Q(st.Occupancy(t))
 			advance(t, dur)
-			rep.GateFidelities = append(rep.GateFidelities, acc.Add(dur, heat.ChainN(t), st.Occupancy(t)))
+			f := acc.Add(dur, heat.ChainN(t), st.Occupancy(t))
+			if withFids {
+				fids = append(fids, f)
+			}
 			rep.Gates2Q++
 		case machine.OpSwap:
 			t := st.IonTrap(int(op.Ion))
@@ -261,7 +277,7 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 			rep.Swaps++
 			// Replay the swap on the shadow state to keep chain order.
 			if err := replaySwap(st, op); err != nil {
-				return nil, fmt.Errorf("sim: op %d: %w", i, err)
+				return nil, nil, fmt.Errorf("sim: op %d: %w", i, err)
 			}
 		case machine.OpSplit:
 			t := st.IonTrap(int(op.Ion))
@@ -281,7 +297,7 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 			t := int(op.Trap)
 			advance(t, params.Time.Merge)
 			if err := replayRelocate(st, int(op.Ion), t); err != nil {
-				return nil, fmt.Errorf("sim: op %d: %w", i, err)
+				return nil, nil, fmt.Errorf("sim: op %d: %w", i, err)
 			}
 			heat.Merge(t, int(op.Ion), st.Occupancy(t))
 			rep.Merges++
@@ -291,7 +307,7 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 				rep.Coolings++
 			}
 		default:
-			return nil, fmt.Errorf("sim: op %d: unknown kind %v", i, op.Kind)
+			return nil, nil, fmt.Errorf("sim: op %d: unknown kind %v", i, op.Kind)
 		}
 	}
 
@@ -310,7 +326,7 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 	} else {
 		rep.MeanGateFidelity = 1
 	}
-	return rep, nil
+	return rep, fids, nil
 }
 
 // replaySwap applies one adjacent transposition to the shadow state. The

@@ -484,8 +484,8 @@ func TestSampleSuccessDeterministicSeed(t *testing.T) {
 	}
 }
 
-// The fidelity list is sized once from the trace's gate ops, so a compiled
-// program's list has no spare or regrown capacity.
+// The sampler's fidelity list is sized once from the trace's gate ops, so a
+// compiled program's list has no spare or regrown capacity.
 func TestGateFidelitiesSizedOnce(t *testing.T) {
 	c, err := circuit.Decompose(bench.QFT(12))
 	if err != nil {
@@ -495,26 +495,28 @@ func TestGateFidelitiesSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := SimulateContext(context.Background(), res.Config, res.InitialPlacement, res.Ops, DefaultParams())
+	rep, fids, err := replay(context.Background(), res.Config, res.InitialPlacement, res.Ops, DefaultParams(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(rep.GateFidelities); n == 0 || n != rep.Gates1Q+rep.Gates2Q || cap(rep.GateFidelities) != n {
-		t.Errorf("GateFidelities len %d cap %d, want both %d", n, cap(rep.GateFidelities), rep.Gates1Q+rep.Gates2Q)
+	if n := len(fids); n == 0 || n != rep.Gates1Q+rep.Gates2Q || cap(fids) != n {
+		t.Errorf("gate fidelities len %d cap %d, want both %d", n, cap(fids), rep.Gates1Q+rep.Gates2Q)
 	}
 }
 
+// The sampler draws against one fidelity per executed gate, whose product
+// is the program fidelity.
 func TestGateFidelitiesRecorded(t *testing.T) {
 	cfg, initial, ops := buildTrace(t)
-	rep, err := SimulateContext(t.Context(), cfg, initial, ops, DefaultParams())
+	rep, fids, err := replay(t.Context(), cfg, initial, ops, DefaultParams(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.GateFidelities) != rep.Gates1Q+rep.Gates2Q {
-		t.Errorf("recorded %d gate fidelities, want %d", len(rep.GateFidelities), rep.Gates1Q+rep.Gates2Q)
+	if len(fids) != rep.Gates1Q+rep.Gates2Q {
+		t.Errorf("recorded %d gate fidelities, want %d", len(fids), rep.Gates1Q+rep.Gates2Q)
 	}
 	product := 1.0
-	for _, f := range rep.GateFidelities {
+	for _, f := range fids {
 		product *= f
 	}
 	if math.Abs(product-rep.Fidelity) > 1e-12 {
