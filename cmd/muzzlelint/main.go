@@ -1,5 +1,5 @@
-// Command muzzlelint runs the repo's custom analyzer suite (internal/lint)
-// over Go packages. Two modes:
+// Command muzzlelint runs the repo's custom analyzer suite (internal/lint,
+// seven analyzers) over Go packages. Two modes:
 //
 // Standalone, for CI and local use — this mode builds the whole-program
 // call graph the interprocedural analyzers (allocflow, ctxflow, lockorder)
@@ -15,7 +15,8 @@
 // enumeration, then one .cfg file per package). In this mode each package
 // is analyzed in isolation, so the call graph covers only the current
 // package and the interprocedural analyzers degrade to their
-// intra-package subset:
+// intra-package subset; allocflow's rule for a //muzzle:hotpath function's
+// own body runs in full:
 //
 //	go build -o muzzlelint ./cmd/muzzlelint
 //	go vet -vettool=$PWD/muzzlelint ./...

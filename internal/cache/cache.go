@@ -1,8 +1,8 @@
 // Package cache is the content-addressed compile/eval cache behind
 // muzzle.WithCache and the muzzled service: completed per-circuit
 // evaluation results keyed by a stable hash of circuit + machine +
-// compiler set + simulator constants (see Key), held in an in-memory LRU
-// with optional disk persistence.
+// compiler set + simulator constants (see ckey.Key), held in an in-memory
+// LRU with optional disk persistence.
 //
 // Both tiers hold the same summary: evaluation results keep every counter,
 // policy name and simulator estimate but no operation trace, so memory
@@ -25,11 +25,8 @@ import (
 	"sync"
 	"time"
 
-	"muzzle/internal/circuit"
 	"muzzle/internal/eval"
 	"muzzle/internal/faults"
-	"muzzle/internal/machine"
-	"muzzle/internal/sim"
 )
 
 // DefaultMaxEntries bounds the in-memory LRU when no limit is configured.
@@ -173,19 +170,8 @@ func New(cfg Config) (*LRU, error) {
 	return l, nil
 }
 
-// Get implements eval.Cache: memory first, then the disk tier.
-func (l *LRU) Get(c *circuit.Circuit, cfg machine.Config, compilers []string, params sim.Params) (*eval.BenchResult, bool) {
-	return l.GetKey(Key(c, cfg, compilers, params))
-}
-
-// Put implements eval.Cache.
-func (l *LRU) Put(c *circuit.Circuit, cfg machine.Config, compilers []string, params sim.Params, r *eval.BenchResult) {
-	l.PutKey(Key(c, cfg, compilers, params), r)
-}
-
-// GetKey looks up a precomputed key. On a memory miss with persistence
-// enabled, the disk tier is consulted and a decoded summary promoted into
-// memory.
+// GetKey looks up a content key: memory first, then, with persistence
+// enabled, the disk tier, whose decoded summary is promoted into memory.
 func (l *LRU) GetKey(key string) (*eval.BenchResult, bool) {
 	l.mu.Lock()
 	if el, ok := l.items[key]; ok {
@@ -222,8 +208,8 @@ func (l *LRU) GetKey(key string) (*eval.BenchResult, bool) {
 	return nil, false
 }
 
-// PutKey stores a result under a precomputed key and persists its summary
-// to disk when enabled.
+// PutKey stores a result under a content key and persists its summary to
+// disk when enabled.
 func (l *LRU) PutKey(key string, r *eval.BenchResult) {
 	l.mu.Lock()
 	if el, ok := l.items[key]; ok {

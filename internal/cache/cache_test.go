@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"muzzle/internal/circuit"
+	"muzzle/internal/ckey"
 	"muzzle/internal/compiler"
 	"muzzle/internal/eval"
 	"muzzle/internal/machine"
 	"muzzle/internal/sim"
-	"muzzle/internal/topo"
 )
 
 func sampleCircuit() *circuit.Circuit {
@@ -40,92 +40,6 @@ func sampleResult(name string, shuttles int) *eval.BenchResult {
 				Sim: &sim.Report{Duration: 1234.5, LogFidelity: -0.25, Fidelity: 0.7788, Measures: 4},
 			},
 		},
-	}
-}
-
-func TestKeyStable(t *testing.T) {
-	cfg := machine.PaperL6()
-	names := []string{"baseline", "optimized"}
-	params := sim.DefaultParams()
-
-	k1 := Key(sampleCircuit(), cfg, names, params)
-	k2 := Key(sampleCircuit(), cfg, names, params)
-	if k1 != k2 {
-		t.Fatalf("identical inputs hash differently: %s vs %s", k1, k2)
-	}
-	if len(k1) != 64 {
-		t.Fatalf("key %q is not hex SHA-256", k1)
-	}
-}
-
-func TestKeySensitivity(t *testing.T) {
-	base := sampleCircuit()
-	cfg := machine.PaperL6()
-	names := []string{"baseline", "optimized"}
-	params := sim.DefaultParams()
-	ref := Key(base, cfg, names, params)
-
-	mutations := map[string]func() string{
-		"circuit name": func() string {
-			c := sampleCircuit()
-			c.Name = "other"
-			return Key(c, cfg, names, params)
-		},
-		"extra gate": func() string {
-			c := sampleCircuit()
-			c.Add2Q("cx", 0, 3)
-			return Key(c, cfg, names, params)
-		},
-		"gate operand": func() string {
-			c := sampleCircuit()
-			c.Gates[1].Qubits[1] = 2
-			return Key(c, cfg, names, params)
-		},
-		"gate angle": func() string {
-			c := sampleCircuit()
-			c.Gates[2].Params[0] = 0.5
-			return Key(c, cfg, names, params)
-		},
-		"capacity": func() string {
-			m := cfg
-			m.Capacity = 15
-			return Key(base, m, names, params)
-		},
-		"comm capacity": func() string {
-			m := cfg
-			m.CommCapacity = 3
-			return Key(base, m, names, params)
-		},
-		"topology": func() string {
-			m := cfg
-			m.Topology = topo.Ring(6)
-			return Key(base, m, names, params)
-		},
-		"compiler set": func() string {
-			return Key(base, cfg, []string{"optimized"}, params)
-		},
-		"compiler order": func() string {
-			return Key(base, cfg, []string{"optimized", "baseline"}, params)
-		},
-		"sim constant": func() string {
-			p := params
-			p.Time.Move = 7
-			return Key(base, cfg, names, p)
-		},
-		"cooling toggle": func() string {
-			p := params
-			p.Cooling = sim.DefaultCooling()
-			return Key(base, cfg, names, p)
-		},
-	}
-	for what, mutate := range mutations {
-		if got := mutate(); got == ref {
-			t.Errorf("changing %s did not change the key", what)
-		}
-	}
-	// Mutations must not have corrupted the reference inputs.
-	if again := Key(base, cfg, names, params); again != ref {
-		t.Fatalf("reference key drifted: %s vs %s", again, ref)
 	}
 }
 
@@ -170,16 +84,13 @@ func TestEvalCacheInterface(t *testing.T) {
 	}
 	var _ eval.Cache = l
 
-	c := sampleCircuit()
-	cfg := machine.PaperL6()
-	names := []string{"optimized"}
-	params := sim.DefaultParams()
-	if _, ok := l.Get(c, cfg, names, params); ok {
+	key := ckey.Key(sampleCircuit(), machine.PaperL6(), []string{"optimized"}, sim.DefaultParams())
+	if _, ok := l.GetKey(key); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
 	want := sampleResult("sample", 9)
-	l.Put(c, cfg, names, params, want)
-	got, ok := l.Get(c, cfg, names, params)
+	l.PutKey(key, want)
+	got, ok := l.GetKey(key)
 	if !ok {
 		t.Fatal("miss after Put")
 	}

@@ -9,6 +9,7 @@ import (
 
 	"muzzle/internal/bench"
 	"muzzle/internal/circuit"
+	"muzzle/internal/ckey"
 	"muzzle/internal/compiler"
 	"muzzle/internal/core"
 	"muzzle/internal/eval"
@@ -201,7 +202,7 @@ func verifiedRecompile(t *testing.T, c *circuit.Circuit, opt eval.Options, l *LR
 	if !r.Verified {
 		t.Fatal("verifying run returned an unverified result")
 	}
-	if stored, ok := l.GetKey(Key(c, opt.Config, opt.Compilers, opt.Sim)); !ok || stored != r {
+	if stored, ok := l.GetKey(ckey.Key(c, opt.Config, opt.Compilers, opt.Sim)); !ok || stored != r {
 		t.Fatal("the verified result was not stored over the unverified entry")
 	}
 	return r
@@ -239,7 +240,7 @@ func TestVerifyingRunRecompilesUnverifiedDiskHit(t *testing.T) {
 	if s := l.Stats(); s.DiskHits != 1 {
 		t.Fatalf("disk hits = %d, want 1", s.DiskHits)
 	}
-	reloaded, ok := mustNew(t, Config{Dir: dir}).GetKey(Key(c, opt.Config, opt.Compilers, opt.Sim))
+	reloaded, ok := mustNew(t, Config{Dir: dir}).GetKey(ckey.Key(c, opt.Config, opt.Compilers, opt.Sim))
 	if !ok || !reloaded.Verified {
 		t.Fatal("the disk tier still holds the unverified summary")
 	}
@@ -261,7 +262,7 @@ func TestVerifyingRunRecompilesUnverifiedFlightResult(t *testing.T) {
 	if leader.Verified || !r.Verified || r == leader {
 		t.Fatalf("follower took the unverified shared result (leader verified %v, follower verified %v)", leader.Verified, r.Verified)
 	}
-	if stored, ok := l.GetKey(Key(c, opt.Config, opt.Compilers, opt.Sim)); !ok || stored != r {
+	if stored, ok := l.GetKey(ckey.Key(c, opt.Config, opt.Compilers, opt.Sim)); !ok || stored != r {
 		t.Fatal("the follower's verified result was not stored")
 	}
 }

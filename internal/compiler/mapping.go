@@ -32,12 +32,30 @@ func GreedyPlacement(c *circuit.Circuit, cfg machine.Config) ([][]int, error) {
 
 	// Interaction weights between qubit pairs, as per-qubit neighbor lists
 	// (slice scans beat per-qubit maps: degrees are small and the lists are
-	// deterministic, allocation-light, and cache-friendly).
+	// deterministic, allocation-light, and cache-friendly). A qubit's 2Q
+	// gate count bounds its distinct neighbors, so every list is carved
+	// from one array at that capacity and never grows.
 	type neighbor struct{ q, w int }
-	adj := make([][]neighbor, c.NumQubits)
+	degree := make([]int, c.NumQubits)
 	firstSeen := make([]int, c.NumQubits)
 	for i := range firstSeen {
 		firstSeen[i] = int(^uint(0) >> 1) // max int
+	}
+	total := 0
+	for gi, g := range c.Gates {
+		if !g.Is2Q() {
+			continue
+		}
+		for _, q := range g.Qubits {
+			degree[q]++
+			firstSeen[q] = min(firstSeen[q], gi)
+		}
+		total += 2
+	}
+	adj := make([][]neighbor, c.NumQubits)
+	nbs := make([]neighbor, total)
+	for q, d := range degree {
+		adj[q], nbs = nbs[:0:d], nbs[d:]
 	}
 	bump := func(a, b int) {
 		for i := range adj[a] {
@@ -48,18 +66,10 @@ func GreedyPlacement(c *circuit.Circuit, cfg machine.Config) ([][]int, error) {
 		}
 		adj[a] = append(adj[a], neighbor{q: b, w: 1})
 	}
-	for gi, g := range c.Gates {
-		if !g.Is2Q() {
-			continue
-		}
-		a, b := g.Qubits[0], g.Qubits[1]
-		bump(a, b)
-		bump(b, a)
-		if gi < firstSeen[a] {
-			firstSeen[a] = gi
-		}
-		if gi < firstSeen[b] {
-			firstSeen[b] = gi
+	for _, g := range c.Gates {
+		if g.Is2Q() {
+			bump(g.Qubits[0], g.Qubits[1])
+			bump(g.Qubits[1], g.Qubits[0])
 		}
 	}
 
@@ -81,7 +91,13 @@ func GreedyPlacement(c *circuit.Circuit, cfg machine.Config) ([][]int, error) {
 		orderQ[i], orderQ[best] = orderQ[best], orderQ[i]
 	}
 
+	// A trap's chain holds at most maxLoad ions: carve every chain from one
+	// array at that capacity, so placing a qubit never grows one.
 	placement := make([][]int, nTraps)
+	slots := make([]int, nTraps*maxLoad)
+	for t := range placement {
+		placement[t], slots = slots[:0:maxLoad], slots[maxLoad:]
+	}
 	trapOf := make([]int, c.NumQubits)
 	for i := range trapOf {
 		trapOf[i] = -1

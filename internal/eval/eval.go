@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"runtime"
@@ -56,8 +55,6 @@ type Options struct {
 	Compilers []string
 	// Mapper, when non-nil, replaces the default greedy initial mapping.
 	Mapper compiler.Placement
-	// Progress, when non-nil, receives one line per completed circuit.
-	Progress io.Writer
 	// OnEvent, when non-nil, receives typed progress events (start,
 	// completion, failure of each circuit). It is called from worker
 	// goroutines but never concurrently with itself.
@@ -101,46 +98,18 @@ func envVerify() bool {
 }
 
 // Cache is a read-through store of completed per-circuit results, keyed by
-// everything that determines the outcome: the circuit content, the machine
-// configuration, the compiler set, and the simulator constants.
-// Implementations must be safe for concurrent use; cached results are
-// shared between callers and must be treated as immutable.
+// the canonical content key (internal/ckey) of everything that determines
+// the outcome: the circuit content, the machine configuration, the
+// compiler set, and the simulator constants. RunCircuit hashes the inputs
+// once and uses the same key for the lookup, the fill, and the
+// single-flight group. Implementations must be safe for concurrent use;
+// cached results are shared between callers and must be treated as
+// immutable. internal/cache.LRU satisfies it.
 type Cache interface {
-	// Get returns the cached result for the evaluation inputs, if any.
-	Get(c *circuit.Circuit, cfg machine.Config, compilers []string, params sim.Params) (*BenchResult, bool)
-	// Put stores a completed result under the evaluation inputs.
-	Put(c *circuit.Circuit, cfg machine.Config, compilers []string, params sim.Params, r *BenchResult)
-}
-
-// KeyedCache is an optional Cache extension for stores addressed by the
-// canonical content key (internal/ckey). When the configured Cache
-// implements it, RunCircuit hashes the evaluation inputs once and uses the
-// same key for the cache lookup, the cache fill, and the single-flight
-// group, instead of re-hashing inside every call. internal/cache.LRU
-// satisfies this.
-type KeyedCache interface {
-	Cache
 	// GetKey returns the cached result stored under a content key.
 	GetKey(key string) (*BenchResult, bool)
 	// PutKey stores a completed result under a content key.
 	PutKey(key string, r *BenchResult)
-}
-
-// cacheGet consults the cache, by precomputed key when supported.
-func cacheGet(cc Cache, key string, c *circuit.Circuit, cfg machine.Config, names []string, params sim.Params) (*BenchResult, bool) {
-	if kc, ok := cc.(KeyedCache); ok {
-		return kc.GetKey(key)
-	}
-	return cc.Get(c, cfg, names, params)
-}
-
-// cachePut stores a result, by precomputed key when supported.
-func cachePut(cc Cache, key string, c *circuit.Circuit, cfg machine.Config, names []string, params sim.Params, r *BenchResult) {
-	if kc, ok := cc.(KeyedCache); ok {
-		kc.PutKey(key, r)
-		return
-	}
-	cc.Put(c, cfg, names, params, r)
 }
 
 // DefaultOptions returns the paper's evaluation setup.
@@ -263,7 +232,7 @@ func RunCircuit(ctx context.Context, c *circuit.Circuit, opt Options) (*BenchRes
 		key = ckey.Key(c, opt.Config, names, opt.Sim)
 	}
 	if useCache {
-		if r, ok := cacheGet(opt.Cache, key, c, opt.Config, names, opt.Sim); ok && r.satisfies(wantVerify) {
+		if r, ok := opt.Cache.GetKey(key); ok && r.satisfies(wantVerify) {
 			return r, nil
 		}
 	}
@@ -275,7 +244,7 @@ func RunCircuit(ctx context.Context, c *circuit.Circuit, opt Options) (*BenchRes
 		// miss above and its promotion to leader; re-checking here keeps the
 		// miss→promotion race from paying a second compile.
 		if useCache {
-			if r, ok := cacheGet(opt.Cache, key, c, opt.Config, names, opt.Sim); ok && r.satisfies(wantVerify) {
+			if r, ok := opt.Cache.GetKey(key); ok && r.satisfies(wantVerify) {
 				return r, nil
 			}
 		}
@@ -339,7 +308,7 @@ func compileAll(ctx context.Context, c *circuit.Circuit, opt Options, names []st
 		}
 	}
 	if useCache {
-		cachePut(opt.Cache, key, c, opt.Config, names, opt.Sim, r)
+		opt.Cache.PutKey(key, r)
 	}
 	return r, nil
 }
@@ -497,25 +466,12 @@ func Stream(ctx context.Context, circuits []*circuit.Circuit, opt Options) <-cha
 
 	var emitMu sync.Mutex
 	emit := func(ev Event) {
-		if opt.OnEvent == nil && opt.Progress == nil {
+		if opt.OnEvent == nil {
 			return
 		}
 		emitMu.Lock()
 		defer emitMu.Unlock()
-		if opt.OnEvent != nil {
-			opt.OnEvent(ev)
-		}
-		if opt.Progress != nil {
-			switch ev.Kind {
-			case EventCompleted:
-				d, pct := ev.Result.Reduction()
-				base, o := ev.Result.Pair()
-				fmt.Fprintf(opt.Progress, "%-28s base=%5d opt=%5d  -%d (%.2f%%)\n",
-					ev.Circuit, base.Result.Shuttles, o.Result.Shuttles, d, pct)
-			case EventFailed:
-				fmt.Fprintf(opt.Progress, "%-28s ERROR: %v\n", ev.Circuit, ev.Err)
-			}
-		}
+		opt.OnEvent(ev)
 	}
 
 	var wg sync.WaitGroup

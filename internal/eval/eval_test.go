@@ -98,19 +98,6 @@ func TestRandomLimit(t *testing.T) {
 	}
 }
 
-func TestProgressOutput(t *testing.T) {
-	opt := smallOptions()
-	opt.RandomLimit = 1
-	var sb strings.Builder
-	opt.Progress = &sb
-	if _, err := RunRandom(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "base=") {
-		t.Errorf("progress output missing: %q", sb.String())
-	}
-}
-
 func TestStats(t *testing.T) {
 	s := NewStats([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.Mean != 5 {

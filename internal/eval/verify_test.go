@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"muzzle/internal/bench"
-	"muzzle/internal/circuit"
-	"muzzle/internal/machine"
-	"muzzle/internal/sim"
+	"muzzle/internal/ckey"
 	"muzzle/internal/verify"
 )
 
@@ -60,17 +58,14 @@ func TestRunCircuitVerifyEnvVar(t *testing.T) {
 	}
 }
 
-// mapCache is a trivial eval.Cache for tests.
+// mapCache is a trivial eval.Cache for tests, keyed by content key.
 type mapCache struct{ m map[string]*BenchResult }
 
-func (c *mapCache) key(circ *circuit.Circuit) string { return circ.Name }
-func (c *mapCache) Get(circ *circuit.Circuit, _ machine.Config, _ []string, _ sim.Params) (*BenchResult, bool) {
-	r, ok := c.m[c.key(circ)]
+func (c *mapCache) GetKey(key string) (*BenchResult, bool) {
+	r, ok := c.m[key]
 	return r, ok
 }
-func (c *mapCache) Put(circ *circuit.Circuit, _ machine.Config, _ []string, _ sim.Params, r *BenchResult) {
-	c.m[c.key(circ)] = r
-}
+func (c *mapCache) PutKey(key string, r *BenchResult) { c.m[key] = r }
 
 // TestRunCircuitVerifyCacheHit pins that a verifying caller is not fooled
 // by a cache entry stored by a non-verifying run: an unverified hit is a
@@ -82,6 +77,7 @@ func TestRunCircuitVerifyCacheHit(t *testing.T) {
 	cache := &mapCache{m: make(map[string]*BenchResult)}
 	opt.Cache = cache
 	circ := bench.QFT(8)
+	key := ckey.Key(circ, opt.Config, opt.compilerNames(), opt.Sim)
 	// Populate without verification.
 	fresh, err := RunCircuit(ctx, circ, opt)
 	if err != nil {
@@ -91,7 +87,7 @@ func TestRunCircuitVerifyCacheHit(t *testing.T) {
 		t.Fatal("a run without verification produced a Verified result")
 	}
 	// Tamper with the unverified entry.
-	cached := cache.m[circ.Name]
+	cached := cache.m[key]
 	name := cached.Compilers[0]
 	wantShuttles := fresh.Outcome(name).Result.Shuttles
 	bad := *cached.Outcomes[name].Result
@@ -114,7 +110,7 @@ func TestRunCircuitVerifyCacheHit(t *testing.T) {
 	if got := r.Outcome(name).Result.Shuttles; got != wantShuttles {
 		t.Fatalf("verifying run: %s shuttles = %d, want %d", name, got, wantShuttles)
 	}
-	if cache.m[circ.Name] != r {
+	if cache.m[key] != r {
 		t.Fatal("verified result was not stored over the unverified entry")
 	}
 	// A verified entry serves the next verifying caller.

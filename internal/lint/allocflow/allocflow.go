@@ -1,12 +1,23 @@
-// Package allocflow is the interprocedural second tier behind hotpath: a
-// //muzzle:hotpath function must not *transitively* reach an allocating
-// function. hotpath (tier 1) scans the annotated body itself; allocflow
-// runs the same construct scanner (hotpath.Scan) over every function in
-// the program, propagates "may-allocate" verdicts bottom-up over the call
-// graph, and flags each call site in a hotpath function whose callee's
-// summary says the allocation-free guarantee is broken somewhere below.
+// Package allocflow guards the allocation-free compile loop. Functions
+// annotated //muzzle:hotpath — the engine's routing loop, future-index
+// maintenance, DAG/arena builders, topo.Path — were hand-tuned to zero
+// amortized heap allocations, and that property erodes one innocent diff
+// at a time. Two rules hold it:
 //
-// Soundness boundary, stated plainly:
+//  1. A hotpath function's own body contains no allocating construct (see
+//     scan for the list).
+//
+//  2. A hotpath function does not call a function that may allocate. The
+//     same construct scanner runs over every function in the program, and
+//     may-allocate verdicts propagate bottom-up over the call graph
+//     (callgraph.Reachable); each call site in a hotpath function whose
+//     callee may allocate is a finding, with the allocation chain in the
+//     message.
+//
+// Rule 1 needs no call graph. Under `go vet -vettool` the graph holds one
+// package, so rule 2 sees only same-package callees there.
+//
+// Soundness boundary of rule 2, stated plainly:
 //
 //   - dynamic call sites (interface dispatch, func-typed fields, escaped
 //     function variables — the call graph's ⊤) are ignored; the repo's hot
@@ -15,107 +26,75 @@
 //   - callees outside the program (standard library) are ignored; the
 //     scanner already flags the one stdlib surface that matters (fmt)
 //   - callees themselves annotated //muzzle:hotpath are trusted clean —
-//     tier 1 checks their bodies directly, so re-deriving their verdict
+//     rule 1 checks their bodies directly, so re-deriving their verdict
 //     here would only double-report
 //
 // A cold-path helper that legitimately allocates may be waived with
-// `//muzzle:allocok <reason>` in its doc comment; the waiver zeroes its
-// summary so callers stay quiet. A waiver without a reason is a finding,
-// and so is a stale waiver on a function that no longer allocates.
+// `//muzzle:allocok <reason>` in its doc comment; the waiver stops its
+// verdict from reaching its callers, so they stay quiet. A waiver without
+// a reason is a finding, and so is a stale waiver on a function that no
+// longer allocates.
+//
+// The benchmarks in internal/compiler and the allocation budgets remain
+// the ground truth for allocs/op; this analyzer is the cheap always-on
+// tripwire in front of them.
 package allocflow
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"muzzle/internal/lint/analysis"
 	"muzzle/internal/lint/callgraph"
-	"muzzle/internal/lint/hotpath"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "allocflow",
-	Doc: "flag //muzzle:hotpath functions that transitively reach an allocating function\n\n" +
-		"Per-function may-allocate summaries (derived with the hotpath construct\n" +
-		"scanner) propagate bottom-up over the whole-program call graph; a call in a\n" +
-		"hotpath function to a may-allocate callee is a finding at the call site,\n" +
-		"with the allocation chain in the message. Waive a deliberate cold-path\n" +
-		"allocation with //muzzle:allocok <reason>.",
+	Doc: "flag allocations in and below //muzzle:hotpath functions\n\n" +
+		"Rule 1 rejects allocating constructs in a hotpath function's own body:\n" +
+		"map/slice literals, capturing closures, non-return fmt calls, interface\n" +
+		"conversions, make(map|chan), and unbounded append in loops. Rule 2 flags\n" +
+		"calls from a hotpath function to functions that may allocate: per-function\n" +
+		"verdicts from the same scanner propagate bottom-up over the whole-program\n" +
+		"call graph, and the finding carries the allocation chain. Waive a\n" +
+		"deliberate cold-path allocation with //muzzle:allocok <reason>.",
 	Run: run,
 }
 
-// summary is one function's may-allocate verdict.
-type summary struct {
-	// may: allocates directly or via some static module-local callee,
-	// before waivers on the function itself are applied.
-	may bool
-	// what/pos: the direct evidence (first construct hotpath.Scan found).
-	what string
-	pos  token.Pos
-	// via: when the evidence is inherited, the first may-allocate callee.
-	via string
-	// waived: //muzzle:allocok present (with or without reason).
-	waived bool
-	// reason: the waiver's argument.
-	reason string
-	// hot: //muzzle:hotpath present (trusted clean as a callee).
-	hot bool
+// passes reports whether a function's may-allocate verdict reaches its
+// callers: a //muzzle:allocok waiver stops it deliberately, and a hotpath
+// callee is trusted clean because rule 1 checks its body.
+func passes(n *callgraph.Node) bool {
+	return !analysis.HasDirective(n.Decl.Doc, "muzzle:hotpath") &&
+		!analysis.HasDirective(n.Decl.Doc, "muzzle:allocok")
 }
 
-// effMay is the verdict callers inherit.
-func (s *summary) effMay() bool { return s != nil && s.may && !s.waived && !s.hot }
-
-// summaries computes (once per Program, memoized) the whole-program
-// fixpoint: may[n] = direct evidence ∨ ∃ static module-local callee c with
-// effMay(c).
-func summaries(prog *callgraph.Program) map[string]*summary {
+// reachability computes (once per Program, memoized) which functions may
+// allocate, directly or through static module-local callees, before
+// waivers on the function itself apply.
+func reachability(prog *callgraph.Program) map[string]callgraph.Reach {
 	return prog.Memo("allocflow", func() any {
-		sums := make(map[string]*summary, len(prog.Nodes))
-		for _, n := range prog.Nodes {
-			s := &summary{hot: analysis.HasDirective(n.Decl.Doc, "muzzle:hotpath")}
-			if arg, ok := analysis.Directive(n.Decl.Doc, "muzzle:allocok"); ok {
-				s.waived, s.reason = true, arg
-			}
-			hotpath.Scan(n.Unit.Info, n.Decl, func(pos token.Pos, what string) {
-				if !s.may {
-					s.may, s.pos, s.what = true, pos, what
+		return prog.Reachable(func(n *callgraph.Node) string {
+			first := ""
+			scan(n.Unit.Info, n.Decl, func(_ token.Pos, what string) {
+				if first == "" {
+					first = what
 				}
 			})
-			sums[n.ID] = s
-		}
-		// Monotone fixpoint; iterate to handle cycles and arbitrary node
-		// order. Depth of real call chains is small, so this converges in a
-		// handful of rounds.
-		for changed := true; changed; {
-			changed = false
-			for _, n := range prog.Nodes {
-				s := sums[n.ID]
-				if s.may {
-					continue
-				}
-				for _, e := range n.Out {
-					if c := sums[e.CalleeID]; c.effMay() {
-						s.may, s.via = true, e.CalleeID
-						changed = true
-						break
-					}
-				}
-			}
-		}
-		return sums
-	}).(map[string]*summary)
+			return first
+		}, passes)
+	}).(map[string]callgraph.Reach)
 }
 
 func run(pass *analysis.Pass) error {
 	prog := pass.Program
-	if prog == nil {
-		return nil // no call graph (bare vet unit): nothing to propagate
+	var reach map[string]callgraph.Reach
+	if prog != nil {
+		reach = reachability(prog)
 	}
-	sums := summaries(prog)
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
+		if analysis.InTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -123,66 +102,43 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			n := prog.Node(callgraph.FuncID(funcOf(pass, fd)))
+			name := fd.Name.Name
+			hot := analysis.HasDirective(fd.Doc, "muzzle:hotpath")
+			if hot {
+				scan(pass.TypesInfo, fd, func(pos token.Pos, what string) {
+					pass.Reportf(pos, "hotpath function %s %s", name, what)
+				})
+			}
+			if reach == nil {
+				continue
+			}
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			n := prog.Node(callgraph.FuncID(fn))
 			if n == nil {
 				continue
 			}
-			s := sums[n.ID]
-			if s.waived {
-				if s.reason == "" {
-					pass.Reportf(fd.Pos(), "muzzle:allocok waiver on %s is missing a reason", fd.Name.Name)
+			if reason, waived := analysis.Directive(fd.Doc, "muzzle:allocok"); waived {
+				if reason == "" {
+					pass.Reportf(fd.Pos(), "muzzle:allocok waiver on %s is missing a reason", name)
 				}
-				if !s.may {
-					pass.Reportf(fd.Pos(), "stale muzzle:allocok waiver on %s: it no longer allocates, directly or transitively", fd.Name.Name)
+				if !reach[n.ID].Reached() {
+					pass.Reportf(fd.Pos(), "stale muzzle:allocok waiver on %s: it no longer allocates, directly or transitively", name)
 				}
 			}
-			if !s.hot {
+			if !hot {
 				continue
 			}
 			reported := map[string]bool{}
 			for _, e := range n.Out {
-				c := sums[e.CalleeID]
-				if !c.effMay() || reported[e.CalleeID] {
+				c := prog.Node(e.CalleeID)
+				if c == nil || !passes(c) || !reach[c.ID].Reached() || reported[c.ID] {
 					continue
 				}
-				reported[e.CalleeID] = true
-				chain, what := witness(sums, e.CalleeID)
-				pass.Reportf(e.Site, "hotpath function %s calls %s, which %s", fd.Name.Name, chain, what)
+				reported[c.ID] = true
+				chain, what := callgraph.Witness(reach, c.ID)
+				pass.Reportf(e.Site, "hotpath function %s calls %s, which %s", name, chain, what)
 			}
 		}
 	}
 	return nil
-}
-
-// witness renders the allocation chain from callee id down to the direct
-// evidence: "a.helper → a.build" plus the construct phrase. Cycles and
-// runaway chains are cut at 8 hops.
-func witness(sums map[string]*summary, id string) (chain, what string) {
-	var names []string
-	for hops := 0; hops < 8; hops++ {
-		names = append(names, displayName(id))
-		s := sums[id]
-		if s == nil {
-			return strings.Join(names, " → "), "may allocate"
-		}
-		if s.via == "" || s.what != "" {
-			return strings.Join(names, " → "), s.what
-		}
-		id = s.via
-	}
-	return strings.Join(names, " → "), "may allocate"
-}
-
-// displayName trims the import path directory from a FuncID:
-// "muzzle/internal/topo.Graph.Path" → "topo.Graph.Path".
-func displayName(id string) string {
-	if i := strings.LastIndex(id, "/"); i >= 0 {
-		return id[i+1:]
-	}
-	return id
-}
-
-func funcOf(pass *analysis.Pass, fd *ast.FuncDecl) *types.Func {
-	fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	return fn
 }

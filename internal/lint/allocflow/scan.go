@@ -1,8 +1,18 @@
-// Package hotpath guards the PR 3 allocation-free compile loop. Functions
-// annotated //muzzle:hotpath — the engine's routing loop, future-index
-// maintenance, DAG/arena builders, topo.Path — were hand-tuned to zero
-// amortized heap allocations, and that property erodes one innocent diff
-// at a time. The analyzer flags the constructs that put allocations back:
+package allocflow
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+
+	"muzzle/internal/lint/analysis"
+)
+
+// scan walks fd's body and calls emit once per allocating construct with a
+// phrase describing it ("allocates a map literal", "calls fmt.Sprintf
+// outside a return statement", ...). Rule 1 reports every hit in a
+// //muzzle:hotpath function; the reachability summaries take the first hit
+// of every function as its may-allocate evidence. The constructs:
 //
 //   - map and slice composite literals
 //   - make(map) / make(chan) — make([]T, n) stays legal because the whole
@@ -13,61 +23,7 @@
 //   - explicit conversions of concrete values to interface types
 //   - append to a bare `var x []T` inside a loop (unbounded growth;
 //     append to a make()-sized or arena-backed slice is fine)
-//
-// The construct scanner is exported as Scan so allocflow can reuse it as
-// the per-function evidence source for its interprocedural may-allocate
-// summaries: hotpath is the fast syntactic first tier over annotated
-// functions only, allocflow runs the same scanner over every function in
-// the program and propagates the verdicts up the call graph.
-//
-// The benchmarks in internal/compiler remain the ground truth for
-// allocs/op; this analyzer is the cheap always-on tripwire in front of
-// them.
-package hotpath
-
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-
-	"muzzle/internal/lint/analysis"
-)
-
-var Analyzer = &analysis.Analyzer{
-	Name: "hotpath",
-	Doc: "flag heap-allocating constructs in //muzzle:hotpath functions\n\n" +
-		"Annotate a function with //muzzle:hotpath when a benchmark holds its\n" +
-		"allocs/op at zero; the analyzer then rejects map/slice literals, capturing\n" +
-		"closures, non-return fmt calls, interface conversions, make(map|chan),\n" +
-		"and unbounded append in loops.",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !analysis.HasDirective(fd.Doc, "muzzle:hotpath") {
-				continue
-			}
-			name := fd.Name.Name
-			Scan(pass.TypesInfo, fd, func(pos token.Pos, what string) {
-				pass.Reportf(pos, "hotpath function %s %s", name, what)
-			})
-		}
-	}
-	return nil
-}
-
-// Scan walks fd's body and calls emit once per allocating construct with a
-// phrase describing it ("allocates a map literal", "calls fmt.Sprintf
-// outside a return statement", ...). Callers compose the full message —
-// hotpath prefixes the annotated function's name, allocflow uses the first
-// hit as the may-allocate witness for its summaries.
-func Scan(info *types.Info, fd *ast.FuncDecl, emit func(pos token.Pos, what string)) {
+func scan(info *types.Info, fd *ast.FuncDecl, emit func(pos token.Pos, what string)) {
 	bareSlices := collectBareSlices(info, fd)
 
 	analysis.WalkStack(fd, func(n ast.Node, stack []ast.Node) bool {
@@ -191,7 +147,7 @@ func capturesLocal(info *types.Info, fd *ast.FuncDecl, lit *ast.FuncLit) bool {
 		}
 		// Declared inside fd but outside lit: a capture. Receiver and
 		// parameters of fd count too — they pin the closure just the same.
-		if within(fd, posNode{v.Pos()}) && !within(lit, posNode{v.Pos()}) {
+		if within(fd, v.Pos()) && !within(lit, v.Pos()) {
 			captured = true
 			return false
 		}
@@ -224,12 +180,6 @@ func inReturn(stack []ast.Node) bool {
 	return false
 }
 
-func within(outer ast.Node, n ast.Node) bool {
-	return outer.Pos() <= n.Pos() && n.Pos() <= outer.End()
+func within(outer ast.Node, pos token.Pos) bool {
+	return outer.Pos() <= pos && pos <= outer.End()
 }
-
-// posNode adapts a bare token.Pos to ast.Node for within().
-type posNode struct{ p token.Pos }
-
-func (p posNode) Pos() token.Pos { return p.p }
-func (p posNode) End() token.Pos { return p.p }

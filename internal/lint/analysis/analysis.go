@@ -14,8 +14,10 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
@@ -62,11 +64,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // InTestFile reports whether pos lies in a _test.go file. Analyzers whose
-// invariant only binds production code (guardedby, hotpath, httperr,
-// cachekey) skip such positions; faultscope deliberately includes them,
-// because fault scopes are typed almost exclusively in tests.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	f := p.Fset.File(pos)
+// invariant only binds production code (allocflow, cachekey, ctxflow,
+// guardedby, httperr, lockorder) skip such positions; faultscope
+// deliberately includes them, because fault scopes are typed almost
+// exclusively in tests.
+func InTestFile(fset *token.FileSet, pos token.Pos) bool {
+	f := fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
 
@@ -119,16 +122,14 @@ func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	visit(root)
 }
 
-// EnclosingFunc returns the innermost function literal or declaration in
-// stack, or nil.
-func EnclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncLit, *ast.FuncDecl:
-			return stack[i]
-		}
+// ExprText renders e as source text, for comparing expressions ("m",
+// "j.opts") and for building suggested fixes; "" if e cannot be printed.
+func ExprText(fset *token.FileSet, e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, fset, e); err != nil {
+		return ""
 	}
-	return nil
+	return buf.String()
 }
 
 // Named unwraps pointers and aliases to the named type of t, or nil.

@@ -55,7 +55,7 @@ func run(pass *analysis.Pass) error {
 
 	hashed := map[*types.TypeName]*hashedType{}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
+		if analysis.InTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {

@@ -1,9 +1,9 @@
 // Package callgraph is the interprocedural layer under the muzzle analyzer
 // suite: a whole-program call graph over every package the lint driver
-// loaded, plus a memo surface where analyzers cache the bottom-up
-// per-function summaries they derive from it (allocflow's may-allocate
-// bits, ctxflow's constructs-background bits, lockorder's transitive lock
-// sets).
+// loaded, one reachability fixpoint over it (Reachable: allocflow's
+// may-allocate verdicts, ctxflow's constructs-background verdicts), and a
+// memo surface where analyzers cache the per-function summaries they
+// derive from it (those verdicts, lockorder's transitive lock sets).
 //
 // Resolution is static and deliberately simple — the repo has no reflection
 // and no plugin loading, so four mechanisms cover almost every call:
@@ -36,6 +36,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -117,6 +118,75 @@ func (p *Program) Memo(key string, build func() any) any {
 	v := build()
 	p.memo[key] = v
 	return v
+}
+
+// Reach is one function's verdict in a Reachable fixpoint.
+type Reach struct {
+	// What names the function's own first piece of evidence, "" if none.
+	What string
+	// Via is the callee the function inherited its verdict from when it
+	// has no evidence of its own.
+	Via string
+}
+
+// Reached reports whether the function reaches some evidence.
+func (r Reach) Reached() bool { return r.What != "" || r.Via != "" }
+
+// Reachable answers, for every function in the program, whether it reaches
+// some evidence through static calls: its own, or that of a module-local
+// callee whose verdict passes on. evidence names a function's own first
+// piece of evidence, or returns "" when it has none; passes reports
+// whether a function passes its verdict on to its callers. Dynamic (⊤)
+// sites and callees outside the program contribute nothing.
+func (p *Program) Reachable(evidence func(*Node) string, passes func(*Node) bool) map[string]Reach {
+	reach := make(map[string]Reach, len(p.Nodes))
+	passing := make(map[string]bool, len(p.Nodes))
+	for _, n := range p.Nodes {
+		reach[n.ID] = Reach{What: evidence(n)}
+		passing[n.ID] = passes(n)
+	}
+	// Monotone fixpoint; iterate to handle cycles and arbitrary node order.
+	// Real call chains are shallow, so this converges in a few rounds.
+	for changed := true; changed; {
+		changed = false
+		for _, n := range p.Nodes {
+			if reach[n.ID].Reached() {
+				continue
+			}
+			for _, e := range n.Out {
+				if passing[e.CalleeID] && reach[e.CalleeID].Reached() {
+					reach[n.ID] = Reach{Via: e.CalleeID}
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	return reach
+}
+
+// Witness renders the call chain from id down to the function with the
+// evidence, "helper.Chain → helper.BuildIndex", and that evidence. The
+// chain ends: a function only inherits a verdict its callee already had.
+func Witness(reach map[string]Reach, id string) (chain, what string) {
+	var names []string
+	for {
+		names = append(names, DisplayName(id))
+		r := reach[id]
+		if r.Via == "" {
+			return strings.Join(names, " → "), r.What
+		}
+		id = r.Via
+	}
+}
+
+// DisplayName trims the import path directory from a FuncID or lock key:
+// "muzzle/internal/topo.Graph.Path" → "topo.Graph.Path".
+func DisplayName(id string) string {
+	if i := strings.LastIndex(id, "/"); i >= 0 {
+		return id[i+1:]
+	}
+	return id
 }
 
 // FuncID is the stable cross-package identity of a function object:

@@ -120,27 +120,19 @@ func isHTTPNewRequest(info *types.Info, call *ast.CallExpr) bool {
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "net/http" && fn.Name() == "NewRequest"
 }
 
-// summary is one function's constructs-background verdict.
-type summary struct {
-	// may: constructs an unwaived Background/TODO, directly or via a
-	// static module-local callee.
-	may  bool
-	what string // the constructor, for the witness message
-	via  string // callee FuncID when the evidence is inherited
-}
-
-// summaries computes the whole-program fixpoint once per Program.
-func summaries(prog *callgraph.Program) map[string]*summary {
+// reachability computes (once per Program, memoized) which functions
+// construct an unwaived Background/TODO, directly or through static
+// module-local callees.
+func reachability(prog *callgraph.Program) map[string]callgraph.Reach {
 	return prog.Memo("ctxflow", func() any {
 		waivers := map[lineKey]waiver{}
 		for _, u := range prog.Units {
 			fileWaivers(prog.Fset, u.Files, waivers)
 		}
-		sums := make(map[string]*summary, len(prog.Nodes))
-		for _, n := range prog.Nodes {
-			s := &summary{}
+		return prog.Reachable(func(n *callgraph.Node) string {
+			first := ""
 			ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-				if s.may {
+				if first != "" {
 					return false
 				}
 				call, ok := node.(*ast.CallExpr)
@@ -153,30 +145,13 @@ func summaries(prog *callgraph.Program) map[string]*summary {
 				}
 				p := prog.Fset.Position(call.Pos())
 				if _, waived := waivers[lineKey{p.Filename, p.Line}]; !waived {
-					s.may, s.what = true, what
+					first = what
 				}
 				return true
 			})
-			sums[n.ID] = s
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, n := range prog.Nodes {
-				s := sums[n.ID]
-				if s.may {
-					continue
-				}
-				for _, e := range n.Out {
-					if c := sums[e.CalleeID]; c != nil && c.may {
-						s.may, s.via = true, e.CalleeID
-						changed = true
-						break
-					}
-				}
-			}
-		}
-		return sums
-	}).(map[string]*summary)
+			return first
+		}, func(*callgraph.Node) bool { return true })
+	}).(map[string]callgraph.Reach)
 }
 
 func run(pass *analysis.Pass) error {
@@ -186,7 +161,7 @@ func run(pass *analysis.Pass) error {
 	waivers := map[lineKey]waiver{}
 	var prodFiles []*ast.File
 	for _, f := range pass.Files {
-		if !pass.InTestFile(f.Pos()) {
+		if !analysis.InTestFile(pass.Fset, f.Pos()) {
 			prodFiles = append(prodFiles, f)
 		}
 	}
@@ -205,9 +180,9 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	var sums map[string]*summary
+	var reach map[string]callgraph.Reach
 	if pass.Program != nil {
-		sums = summaries(pass.Program)
+		reach = reachability(pass.Program)
 	}
 
 	for _, f := range prodFiles {
@@ -238,7 +213,7 @@ func run(pass *analysis.Pass) error {
 			})
 
 			// Rule 2: interprocedural, needs the graph.
-			if sums == nil {
+			if reach == nil {
 				continue
 			}
 			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -248,42 +223,17 @@ func run(pass *analysis.Pass) error {
 			}
 			reported := map[string]bool{}
 			for _, e := range n.Out {
-				c := sums[e.CalleeID]
-				if c == nil || !c.may || reported[e.CalleeID] {
+				if !reach[e.CalleeID].Reached() || reported[e.CalleeID] {
 					continue
 				}
 				if _, waived := waivedAt(e.Site); waived {
 					continue
 				}
 				reported[e.CalleeID] = true
-				chain, what := witness(sums, e.CalleeID)
+				chain, what := callgraph.Witness(reach, e.CalleeID)
 				pass.Reportf(e.Site, "request-path function %s calls %s, which constructs %s and severs cancellation; pass the caller's context through or waive with //muzzle:ctx-background <reason>", name, chain, what)
 			}
 		}
 	}
 	return nil
-}
-
-// witness renders the chain from callee id down to the constructor site.
-func witness(sums map[string]*summary, id string) (chain, what string) {
-	var names []string
-	for hops := 0; hops < 8; hops++ {
-		names = append(names, displayName(id))
-		s := sums[id]
-		if s == nil {
-			return strings.Join(names, " → "), "a fresh context"
-		}
-		if s.via == "" || s.what != "" {
-			return strings.Join(names, " → "), s.what
-		}
-		id = s.via
-	}
-	return strings.Join(names, " → "), "a fresh context"
-}
-
-func displayName(id string) string {
-	if i := strings.LastIndex(id, "/"); i >= 0 {
-		return id[i+1:]
-	}
-	return id
 }

@@ -5,14 +5,13 @@
 // behind one mutex per struct; this analyzer turns that convention into a
 // build error instead of a race-detector roulette.
 //
-// Holding the lock is established by structural replay: walking outward
-// from the access through its enclosing blocks, the analyzer interprets
-// the top-level `recv.mu.Lock()` / `Unlock()` (and RLock/RUnlock)
-// statements that precede the access at each nesting level, in order.
-// That models the repo's real patterns — lock/branch/unlock switches,
+// Holding the lock is established by structural replay with the walker
+// lockorder shares (internal/lint/lockreplay): `recv.mu.Lock()` /
+// `Unlock()` (and RLock/RUnlock) update the held set in source order. That
+// models the repo's real patterns — lock/branch/unlock switches,
 // lock-unlock-relock sequences, per-case unlocks — without needing a full
-// CFG. `defer recv.mu.Unlock()` is correctly ignored (it releases at
-// return, after every access).
+// CFG. A lock is keyed by its instance, "recv.mu", so holding one value's
+// mutex never guards another value's fields.
 //
 // Functions exempt from replay:
 //
@@ -25,23 +24,18 @@
 //   - the function builds the struct with a composite literal — a
 //     constructor initializing fields before the value escapes
 //
-// Closures replay their own bodies only: a goroutine body must lock for
-// itself, which matches how every closure in the repo behaves.
-//
 // Test files are skipped. An annotation naming a mutex field the struct
 // does not declare is itself an error.
 package guardedby
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
-	"go/token"
 	"go/types"
 	"regexp"
 	"strings"
 
 	"muzzle/internal/lint/analysis"
+	"muzzle/internal/lint/lockreplay"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -66,7 +60,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
+		if analysis.InTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -86,7 +80,7 @@ func run(pass *analysis.Pass) error {
 func collectGuards(pass *analysis.Pass) map[guardKey]string {
 	guards := map[guardKey]string{}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
+		if analysis.InTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -148,37 +142,37 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, guards map[guardKey]string
 		return
 	}
 	var constructed map[*types.TypeName]bool
-	analysis.WalkStack(fd, func(n ast.Node, stack []ast.Node) bool {
+	lockreplay.Walk(fd.Body, func(call *ast.CallExpr) (string, lockreplay.Op) {
+		return lockOf(pass, call)
+	}, func(n ast.Node, held lockreplay.Held) {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
-			return true
+			return
 		}
 		sn, ok := pass.TypesInfo.Selections[sel]
 		if !ok || sn.Kind() != types.FieldVal {
-			return true
+			return
 		}
 		named := analysis.Named(sn.Recv())
 		if named == nil {
-			return true
+			return
 		}
-		key := guardKey{named.Obj(), sn.Obj().Name()}
-		mu, guarded := guards[key]
+		mu, guarded := guards[guardKey{named.Obj(), sn.Obj().Name()}]
 		if !guarded {
-			return true
+			return
 		}
 		if constructed == nil {
 			constructed = constructedTypes(pass, fd)
 		}
 		if constructed[named.Obj()] {
-			return true
+			return
 		}
-		base := exprText(pass, sel.X)
-		if base == "" || heldAt(pass, stack, sel.Pos(), base, mu) {
-			return true
+		base := analysis.ExprText(pass.Fset, sel.X)
+		if _, locked := held[base+"."+mu]; base == "" || locked {
+			return
 		}
 		pass.Reportf(sel.Sel.Pos(), "%s.%s is guarded by %s but accessed without holding %s.%s",
 			named.Obj().Name(), sn.Obj().Name(), mu, base, mu)
-		return true
 	})
 }
 
@@ -200,92 +194,26 @@ func constructedTypes(pass *analysis.Pass, fd *ast.FuncDecl) map[*types.TypeName
 	return out
 }
 
-// heldAt replays the lock statements that structurally precede the access
-// and reports whether base.mu is held there. stack is the access's
-// ancestor chain from WalkStack (the function outermost). At each
-// enclosing statement list, only statements fully before the access
-// replay — the statement containing the access (and everything after it,
-// e.g. later case bodies when the access is a case condition) is out of
-// scope.
-func heldAt(pass *analysis.Pass, stack []ast.Node, access token.Pos, base, mu string) bool {
-	// Innermost function boundary: a closure replays only its own body.
-	start := 0
-	for i := len(stack) - 1; i >= 0; i-- {
-		if _, ok := stack[i].(*ast.FuncLit); ok {
-			start = i
-			break
-		}
-	}
-	held := false
-	for i := start; i < len(stack); i++ {
-		var stmts []ast.Stmt
-		switch blk := stack[i].(type) {
-		case *ast.BlockStmt:
-			stmts = blk.List
-		case *ast.CaseClause:
-			stmts = blk.Body
-		case *ast.CommClause:
-			stmts = blk.Body
-		default:
-			continue
-		}
-		for _, s := range stmts {
-			if s.End() >= access {
-				break
-			}
-			switch lockOp(pass, s, base, mu) {
-			case lockAcquire:
-				held = true
-			case lockRelease:
-				held = false
-			}
-		}
-	}
-	return held
-}
-
-type lockAction int
-
-const (
-	lockNone lockAction = iota
-	lockAcquire
-	lockRelease
-)
-
-// lockOp classifies a top-level statement as base.mu.Lock/RLock (acquire),
-// base.mu.Unlock/RUnlock (release), or neither. Deferred unlocks release
-// at return, after every access, so they are not classified.
-func lockOp(pass *analysis.Pass, s ast.Stmt, base, mu string) lockAction {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return lockNone
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return lockNone
-	}
+// lockOf classifies base.mu.Lock/RLock (acquire) and base.mu.Unlock/RUnlock
+// (release) under the instance key "base.mu", so holding one value's
+// mutex never guards another value's fields.
+func lockOf(pass *analysis.Pass, call *ast.CallExpr) (string, lockreplay.Op) {
 	method, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return lockNone
+		return "", lockreplay.None
 	}
 	muSel, ok := method.X.(*ast.SelectorExpr)
-	if !ok || muSel.Sel.Name != mu || exprText(pass, muSel.X) != base {
-		return lockNone
+	if !ok {
+		return "", lockreplay.None
 	}
+	var op lockreplay.Op
 	switch method.Sel.Name {
 	case "Lock", "RLock":
-		return lockAcquire
+		op = lockreplay.Acquire
 	case "Unlock", "RUnlock":
-		return lockRelease
+		op = lockreplay.Release
+	default:
+		return "", lockreplay.None
 	}
-	return lockNone
-}
-
-// exprText renders the receiver expression for comparison ("m", "j.opts").
-func exprText(pass *analysis.Pass, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, e); err != nil {
-		return ""
-	}
-	return buf.String()
+	return analysis.ExprText(pass.Fset, muSel.X) + "." + muSel.Sel.Name, op
 }

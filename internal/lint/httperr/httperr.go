@@ -8,10 +8,8 @@
 package httperr
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/types"
 	"strings"
 
@@ -37,7 +35,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
+		if analysis.InTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -89,15 +87,15 @@ func packageHasWriteError(pass *analysis.Pass) bool {
 //   - otherwise the message is wrapped in errors.New, but only when the
 //     file set already imports "errors" (a fix must not edit imports)
 func suggestRewrite(pass *analysis.Pass, call *ast.CallExpr, importsErrors bool) *analysis.SuggestedFix {
-	w := exprText(pass, call.Args[0])
+	w := analysis.ExprText(pass.Fset, call.Args[0])
 	msg := call.Args[1]
-	status := exprText(pass, call.Args[2])
+	status := analysis.ExprText(pass.Fset, call.Args[2])
 
 	var errExpr string
 	if inner, ok := errorCallReceiver(pass, msg); ok {
 		errExpr = inner
 	} else if importsErrors {
-		errExpr = "errors.New(" + exprText(pass, msg) + ")"
+		errExpr = "errors.New(" + analysis.ExprText(pass.Fset, msg) + ")"
 	} else {
 		return nil
 	}
@@ -122,7 +120,7 @@ func errorCallReceiver(pass *analysis.Pass, e ast.Expr) (string, bool) {
 	if t := pass.TypesInfo.Types[sel.X].Type; t == nil || !isError(t) {
 		return "", false
 	}
-	return exprText(pass, sel.X), true
+	return analysis.ExprText(pass.Fset, sel.X), true
 }
 
 func isError(t types.Type) bool {
@@ -131,12 +129,4 @@ func isError(t types.Type) bool {
 
 func errorIface() *types.Interface {
 	return types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-}
-
-func exprText(pass *analysis.Pass, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, e); err != nil {
-		return ""
-	}
-	return buf.String()
 }

@@ -16,7 +16,6 @@ import (
 	"muzzle/internal/lint/faultscope"
 	"muzzle/internal/lint/fixer"
 	"muzzle/internal/lint/guardedby"
-	"muzzle/internal/lint/hotpath"
 	"muzzle/internal/lint/httperr"
 	"muzzle/internal/lint/load"
 	"muzzle/internal/lint/lockorder"
@@ -62,8 +61,10 @@ func TestFaultscopeExemptsRegistry(t *testing.T) {
 	}
 }
 
+// TestHotpath pins allocflow's rule 1: the allocating constructs of a
+// //muzzle:hotpath function's own body.
 func TestHotpath(t *testing.T) {
-	analysistest.Run(t, "testdata", hotpath.Analyzer, "hotfix/a")
+	analysistest.Run(t, "testdata", allocflow.Analyzer, "hotfix/a")
 }
 
 func TestGuardedby(t *testing.T) {

@@ -14,15 +14,12 @@
 // self-lock idiom. Local mutex variables have no stable identity and are
 // skipped.
 //
-// The replay mirrors guardedby's model: sequential statements mutate the
-// held set, branch bodies replay against a copy, `defer mu.Unlock()`
-// releases after everything (so it never removes a hold), closures replay
-// with a fresh held set, and `go`/`defer` calls are unordered with the
-// current holds and contribute nothing interprocedurally. Callee lock
-// summaries (the set of keys a function transitively acquires, closures
-// excluded — a closure's acquires usually happen on another goroutine)
-// come from a fixpoint over the call graph; dynamic (⊤) sites contribute
-// nothing, same trade as allocflow and ctxflow.
+// Locks replay with guardedby's walker (internal/lint/lockreplay), so a
+// `go`/`defer` call adds no edge and a closure starts with nothing held.
+// Callee lock summaries (the set of keys a function transitively acquires,
+// closures excluded — a closure's acquires usually happen on another
+// goroutine) come from a fixpoint over the call graph; dynamic (⊤) sites
+// contribute nothing, same trade as allocflow and ctxflow.
 package lockorder
 
 import (
@@ -36,6 +33,7 @@ import (
 
 	"muzzle/internal/lint/analysis"
 	"muzzle/internal/lint/callgraph"
+	"muzzle/internal/lint/lockreplay"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -88,14 +86,41 @@ func analyze(prog *callgraph.Program) []cycleReport {
 		}
 	}
 	for _, n := range prog.Nodes {
-		if inTestFile(prog.Fset, n.Decl.Pos()) {
+		if analysis.InTestFile(prog.Fset, n.Decl.Pos()) {
 			continue
 		}
-		r := &replayer{prog: prog, u: n.Unit, trans: trans, add: addEdge, sites: map[token.Pos]string{}}
+		sites := map[token.Pos]string{} // call site → callee FuncID
 		for _, e := range n.Out {
-			r.sites[e.Site] = e.CalleeID
+			sites[e.Site] = e.CalleeID
 		}
-		r.stmts(n.Decl.Body.List, map[string]token.Pos{})
+		lock := func(call *ast.CallExpr) (string, lockreplay.Op) { return lockCall(n.Unit, call) }
+		lockreplay.Walk(n.Decl.Body, lock, func(node ast.Node, held lockreplay.Held) {
+			call, isCall := node.(*ast.CallExpr)
+			if !isCall || len(held) == 0 {
+				return
+			}
+			if key, op := lock(call); op != lockreplay.None {
+				if op == lockreplay.Acquire {
+					for h, hs := range held {
+						if h != key {
+							addEdge(edge{from: h, to: key, fromSite: hs, toSite: call.Lparen})
+						}
+					}
+				}
+				return
+			}
+			calleeID, resolved := sites[call.Lparen]
+			if !resolved {
+				return
+			}
+			for l := range trans[calleeID] {
+				for h, hs := range held {
+					if h != l {
+						addEdge(edge{from: h, to: l, fromSite: hs, toSite: call.Lparen, via: calleeID})
+					}
+				}
+			}
+		})
 	}
 	return cycles(prog.Fset, edges)
 }
@@ -111,9 +136,9 @@ func lockSummaries(prog *callgraph.Program) map[string]map[string]token.Pos {
 				return false
 			}
 			if call, ok := node.(*ast.CallExpr); ok {
-				if key, site, acquire, ok := lockCall(n.Unit, call); ok && acquire {
+				if key, op := lockCall(n.Unit, call); op == lockreplay.Acquire {
 					if _, seen := acq[key]; !seen {
-						acq[key] = site
+						acq[key] = call.Lparen
 					}
 				}
 			}
@@ -138,31 +163,32 @@ func lockSummaries(prog *callgraph.Program) map[string]map[string]token.Pos {
 	return trans
 }
 
-// lockCall classifies call as an acquire/release of a stably identified
-// mutex. ok=false for non-lock calls and for locks with no stable identity
-// (local mutex variables).
-func lockCall(u *callgraph.Unit, call *ast.CallExpr) (key string, site token.Pos, acquire, ok bool) {
+// lockCall classifies call as an acquire or release of a stably
+// identified mutex. Non-lock calls and locks with no stable identity
+// (local mutex variables) are lockreplay.None.
+func lockCall(u *callgraph.Unit, call *ast.CallExpr) (string, lockreplay.Op) {
 	method, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", 0, false, false
+		return "", lockreplay.None
 	}
 	fn, isFn := u.Info.Uses[method.Sel].(*types.Func)
 	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", 0, false, false
+		return "", lockreplay.None
 	}
+	var op lockreplay.Op
 	switch fn.Name() {
 	case "Lock", "RLock":
-		acquire = true
+		op = lockreplay.Acquire
 	case "Unlock", "RUnlock":
-		acquire = false
+		op = lockreplay.Release
 	default:
-		return "", 0, false, false
+		return "", lockreplay.None
 	}
-	key = mutexKey(u, method.X)
+	key := mutexKey(u, method.X)
 	if key == "" {
-		return "", 0, false, false
+		return "", lockreplay.None
 	}
-	return key, call.Lparen, acquire, true
+	return key, op
 }
 
 // mutexKey derives the structural identity of the mutex expression e, or
@@ -203,183 +229,6 @@ func mutexKey(u *callgraph.Unit, e ast.Expr) string {
 		}
 		return ""
 	}
-}
-
-// replayer walks one function body maintaining the held set.
-type replayer struct {
-	prog  *callgraph.Program
-	u     *callgraph.Unit
-	trans map[string]map[string]token.Pos
-	sites map[token.Pos]string // call site → callee FuncID
-	add   func(edge)
-}
-
-func (r *replayer) stmts(list []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range list {
-		r.stmt(s, held)
-	}
-}
-
-func (r *replayer) stmt(s ast.Stmt, held map[string]token.Pos) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		r.expr(s.X, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			r.expr(e, held)
-		}
-		for _, e := range s.Lhs {
-			r.expr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			r.expr(e, held)
-		}
-	case *ast.BlockStmt:
-		r.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		r.stmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			r.stmt(s.Init, held)
-		}
-		r.expr(s.Cond, held)
-		r.stmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			r.stmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		inner := copyHeld(held)
-		if s.Init != nil {
-			r.stmt(s.Init, inner)
-		}
-		if s.Cond != nil {
-			r.expr(s.Cond, inner)
-		}
-		r.stmts(s.Body.List, inner)
-		if s.Post != nil {
-			r.stmt(s.Post, inner)
-		}
-	case *ast.RangeStmt:
-		r.expr(s.X, held)
-		r.stmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			r.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			r.expr(s.Tag, held)
-		}
-		r.clauses(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			r.stmt(s.Init, held)
-		}
-		r.clauses(s.Body, held)
-	case *ast.SelectStmt:
-		r.clauses(s.Body, held)
-	case *ast.GoStmt, *ast.DeferStmt:
-		// Unordered with the current holds: a goroutine races, a deferred
-		// call runs after every statement below. Closure literals inside
-		// still replay (with a fresh held set) via expr's FuncLit case.
-		var call *ast.CallExpr
-		if g, isGo := s.(*ast.GoStmt); isGo {
-			call = g.Call
-		} else {
-			call = s.(*ast.DeferStmt).Call
-		}
-		for _, a := range append([]ast.Expr{call.Fun}, call.Args...) {
-			if lit, isLit := ast.Unparen(a).(*ast.FuncLit); isLit {
-				r.stmts(lit.Body.List, map[string]token.Pos{})
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, isGen := s.Decl.(*ast.GenDecl); isGen {
-			for _, spec := range gd.Specs {
-				if vs, isVal := spec.(*ast.ValueSpec); isVal {
-					for _, e := range vs.Values {
-						r.expr(e, held)
-					}
-				}
-			}
-		}
-	case *ast.SendStmt:
-		r.expr(s.Chan, held)
-		r.expr(s.Value, held)
-	case *ast.IncDecStmt:
-		r.expr(s.X, held)
-	}
-}
-
-func (r *replayer) clauses(body *ast.BlockStmt, held map[string]token.Pos) {
-	for _, c := range body.List {
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			inner := copyHeld(held)
-			for _, e := range c.List {
-				r.expr(e, inner)
-			}
-			r.stmts(c.Body, inner)
-		case *ast.CommClause:
-			inner := copyHeld(held)
-			if c.Comm != nil {
-				r.stmt(c.Comm, inner)
-			}
-			r.stmts(c.Body, inner)
-		}
-	}
-}
-
-// expr scans e for calls in syntactic order, applying lock operations to
-// held and callee summaries across non-lock calls.
-func (r *replayer) expr(e ast.Expr, held map[string]token.Pos) {
-	ast.Inspect(e, func(node ast.Node) bool {
-		switch n := node.(type) {
-		case *ast.FuncLit:
-			r.stmts(n.Body.List, map[string]token.Pos{})
-			return false
-		case *ast.CallExpr:
-			r.call(n, held)
-		}
-		return true
-	})
-}
-
-func (r *replayer) call(call *ast.CallExpr, held map[string]token.Pos) {
-	if key, site, acquire, ok := lockCall(r.u, call); ok {
-		if acquire {
-			for h, hs := range held {
-				if h != key {
-					r.add(edge{from: h, to: key, fromSite: hs, toSite: site})
-				}
-			}
-			if _, already := held[key]; !already {
-				held[key] = site
-			}
-		} else {
-			delete(held, key)
-		}
-		return
-	}
-	calleeID, resolved := r.sites[call.Lparen]
-	if !resolved || len(held) == 0 {
-		return
-	}
-	for l := range r.trans[calleeID] {
-		for h, hs := range held {
-			if h != l {
-				r.add(edge{from: h, to: l, fromSite: hs, toSite: call.Lparen, via: calleeID})
-			}
-		}
-	}
-}
-
-func copyHeld(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
 }
 
 // cycles finds the strongly connected components of the order graph and
@@ -475,11 +324,11 @@ func cycles(fset *token.FileSet, edges map[[2]string]edge) []cycleReport {
 		for i, e := range cedges {
 			via := ""
 			if e.via != "" {
-				via = " via " + displayName(e.via)
+				via = " via " + callgraph.DisplayName(e.via)
 			}
 			parts[i] = fmt.Sprintf("%s (held since %s) → %s acquired at %s%s",
-				displayName(e.from), shortPos(fset, e.fromSite),
-				displayName(e.to), shortPos(fset, e.toSite), via)
+				callgraph.DisplayName(e.from), shortPos(fset, e.fromSite),
+				callgraph.DisplayName(e.to), shortPos(fset, e.toSite), via)
 		}
 		sort.Strings(comp)
 		reports = append(reports, cycleReport{
@@ -495,24 +344,12 @@ func cycles(fset *token.FileSet, edges map[[2]string]edge) []cycleReport {
 func mapNames(keys []string) []string {
 	out := make([]string, len(keys))
 	for i, k := range keys {
-		out[i] = displayName(k)
+		out[i] = callgraph.DisplayName(k)
 	}
 	return out
-}
-
-func displayName(id string) string {
-	if i := strings.LastIndex(id, "/"); i >= 0 {
-		return id[i+1:]
-	}
-	return id
 }
 
 func shortPos(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
-func inTestFile(fset *token.FileSet, pos token.Pos) bool {
-	f := fset.File(pos)
-	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }

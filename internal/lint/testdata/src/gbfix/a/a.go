@@ -92,3 +92,22 @@ func newCounter() *counter {
 	c.items = append(c.items, "seed")
 	return c
 }
+
+func use(...int) {}
+
+// positions reads guarded fields with nothing held in every expression
+// position the replay must reach; each access is a finding.
+func (c *counter) positions(ch chan int) {
+	go use(c.n)              // want `counter.n is guarded by mu but accessed without holding c.mu`
+	defer use(c.n)           // want `counter.n is guarded by mu but accessed without holding c.mu`
+	switch any(c.n).(type) { // want `counter.n is guarded by mu but accessed without holding c.mu`
+	}
+	for c.n = range c.items { // want `counter.n is guarded by mu but accessed without holding c.mu` `counter.items is guarded by mu but accessed without holding c.mu`
+	}
+	select {
+	case ch <- c.n: // want `counter.n is guarded by mu but accessed without holding c.mu`
+	default:
+	}
+	for ; ; c.n++ { // want `counter.n is guarded by mu but accessed without holding c.mu`
+	}
+}

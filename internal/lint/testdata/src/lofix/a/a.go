@@ -1,7 +1,8 @@
-// Package a seeds two lock-order cycles for the lockorder fixture: one
-// closed by two direct acquisitions, one closed through a call whose
-// callee acquires transitively. A third pair of mutexes is always taken in
-// a consistent order and must stay quiet.
+// Package a seeds lock-order cycles for the lockorder fixture: one closed
+// by two direct acquisitions, one closed through a call whose callee
+// acquires transitively, one closed in a go statement's argument. Another
+// pair of mutexes is always taken in a consistent order and must stay
+// quiet.
 package a
 
 import "sync"
@@ -90,4 +91,29 @@ func (u *U) Branches(flip bool) {
 		u.q.Unlock()
 	}
 	u.p.Unlock()
+}
+
+// V's cycle closes in a go statement's argument, which runs where the
+// statement stands, under the held lock.
+type V struct{ m, n sync.Mutex }
+
+func (v *V) lockN() int {
+	v.n.Lock()
+	defer v.n.Unlock()
+	return 0
+}
+
+func consume(int) {}
+
+func (v *V) MthenGoArg() {
+	v.m.Lock()
+	go consume(v.lockN()) // want `potential deadlock: lock order cycle among a\.V\.m, a\.V\.n`
+	v.m.Unlock()
+}
+
+func (v *V) NthenM() {
+	v.n.Lock()
+	v.m.Lock()
+	v.m.Unlock()
+	v.n.Unlock()
 }
