@@ -88,7 +88,6 @@ func run() error {
 	addr := flag.String("addr", ":8077", "listen address")
 	workers := flag.Int("workers", 2, "concurrent jobs")
 	queueDepth := flag.Int("queue-depth", 256, "admission bound on pending jobs (submits past it get 429)")
-	flag.IntVar(queueDepth, "queue", 256, "alias for -queue-depth")
 	parallelism := flag.Int("parallelism", 0, "concurrent circuit evaluations per job (0 = one per CPU)")
 	cacheEntries := flag.Int("cache", 1024, "in-memory compile-cache entries (0 disables caching)")
 	cacheDir := flag.String("cache-dir", "", "persist compile-cache entries under this directory")

@@ -2,11 +2,11 @@ package coord
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
+
+	"muzzle/internal/obs"
 )
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -144,54 +144,44 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics renders the counters in the Prometheus text exposition
-// format (hand-rolled: the repo takes no dependencies).
+// handleMetrics serves the counters in the Prometheus text format.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	met := c.MetricsSnapshot()
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("muzzlecoord_cells_total", "Cells across all runs (preloaded included).", met.CellsTotal)
-	counter("muzzlecoord_cells_preloaded_total", "Cells satisfied from a resumable run dir.", met.CellsPreloaded)
-	counter("muzzlecoord_cells_dispatched_total", "Cell dispatch attempts POSTed to workers.", met.Dispatched)
-	counter("muzzlecoord_cells_completed_total", "Cells completed with a valid worker result.", met.Completed)
-	counter("muzzlecoord_cells_retried_total", "Dispatches retried after worker backpressure (429).", met.Retried)
-	counter("muzzlecoord_cells_reassigned_total", "Cells reassigned after a worker failure.", met.Reassigned)
-	counter("muzzlecoord_cells_failed_total", "Cells given up on after exhausting their attempt budget.", met.Failed)
-	counter("muzzlecoord_breaker_opens_total", "Per-worker circuit breaker opens across the fleet.", met.BreakerOpens)
+	var p obs.Writer
+	obs.Single(&p, "muzzlecoord_cells_total", obs.Counter, "Cells across all runs (preloaded included).", met.CellsTotal)
+	obs.Single(&p, "muzzlecoord_cells_preloaded_total", obs.Counter, "Cells satisfied from a resumable run dir.", met.CellsPreloaded)
+	obs.Single(&p, "muzzlecoord_cells_dispatched_total", obs.Counter, "Cell dispatch attempts POSTed to workers.", met.Dispatched)
+	obs.Single(&p, "muzzlecoord_cells_completed_total", obs.Counter, "Cells completed with a valid worker result.", met.Completed)
+	obs.Single(&p, "muzzlecoord_cells_retried_total", obs.Counter, "Dispatches retried after worker backpressure (429).", met.Retried)
+	obs.Single(&p, "muzzlecoord_cells_reassigned_total", obs.Counter, "Cells reassigned after a worker failure.", met.Reassigned)
+	obs.Single(&p, "muzzlecoord_cells_failed_total", obs.Counter, "Cells given up on after exhausting their attempt budget.", met.Failed)
+	obs.Single(&p, "muzzlecoord_breaker_opens_total", obs.Counter, "Per-worker circuit breaker opens across the fleet.", met.BreakerOpens)
 
-	perWorker := func(name, typ, help string, value func(WorkerMetrics) string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, wm := range met.Workers {
-			fmt.Fprintf(&b, "%s{worker=%q} %s\n", name, wm.URL, value(wm))
-		}
-	}
-	boolGauge := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
-	}
-	perWorker("muzzlecoord_worker_healthy", "gauge", "Worker health (1 = in rotation).",
-		func(wm WorkerMetrics) string { return boolGauge(wm.Healthy) })
-	perWorker("muzzlecoord_worker_in_flight", "gauge", "Cells currently dispatched to the worker.",
-		func(wm WorkerMetrics) string { return fmt.Sprintf("%d", wm.InFlight) })
-	perWorker("muzzlecoord_worker_dispatched_total", "counter", "Cell dispatch attempts sent to the worker.",
-		func(wm WorkerMetrics) string { return fmt.Sprintf("%d", wm.Dispatched) })
-	perWorker("muzzlecoord_worker_completed_total", "counter", "Cells the worker completed.",
-		func(wm WorkerMetrics) string { return fmt.Sprintf("%d", wm.Completed) })
-	perWorker("muzzlecoord_worker_errors_total", "counter", "Dispatch and probe failures attributed to the worker.",
-		func(wm WorkerMetrics) string { return fmt.Sprintf("%d", wm.Errors) })
-	perWorker("muzzlecoord_worker_latency_seconds_sum", "counter", "Summed dispatch wall time.",
-		func(wm WorkerMetrics) string { return fmt.Sprintf("%g", wm.LatencySum) })
-	perWorker("muzzlecoord_worker_latency_seconds_count", "counter", "Dispatches measured.",
-		func(wm WorkerMetrics) string { return fmt.Sprintf("%d", wm.LatencyCount) })
-	perWorker("muzzlecoord_worker_breaker_open", "gauge", "Circuit breaker position (1 = open, dispatches suspended).",
-		func(wm WorkerMetrics) string { return boolGauge(wm.BreakerOpen) })
-	perWorker("muzzlecoord_worker_breaker_opens_total", "counter", "Circuit breaker opens for the worker.",
-		func(wm WorkerMetrics) string { return fmt.Sprintf("%d", wm.BreakerOpens) })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_healthy", obs.Gauge, "Worker health (1 = in rotation).",
+		func(wm WorkerMetrics) bool { return wm.Healthy })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_in_flight", obs.Gauge, "Cells currently dispatched to the worker.",
+		func(wm WorkerMetrics) int64 { return wm.InFlight })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_dispatched_total", obs.Counter, "Cell dispatch attempts sent to the worker.",
+		func(wm WorkerMetrics) int64 { return wm.Dispatched })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_completed_total", obs.Counter, "Cells the worker completed.",
+		func(wm WorkerMetrics) int64 { return wm.Completed })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_errors_total", obs.Counter, "Dispatch and probe failures attributed to the worker.",
+		func(wm WorkerMetrics) int64 { return wm.Errors })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_latency_seconds_sum", obs.Counter, "Summed dispatch wall time.",
+		func(wm WorkerMetrics) float64 { return wm.LatencySum })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_latency_seconds_count", obs.Counter, "Dispatches measured.",
+		func(wm WorkerMetrics) int64 { return wm.LatencyCount })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_breaker_open", obs.Gauge, "Circuit breaker position (1 = open, dispatches suspended).",
+		func(wm WorkerMetrics) bool { return wm.BreakerOpen })
+	perWorker(&p, met.Workers, "muzzlecoord_worker_breaker_opens_total", obs.Counter, "Circuit breaker opens for the worker.",
+		func(wm WorkerMetrics) int64 { return wm.BreakerOpens })
+	p.Serve(w)
+}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String()))
+// perWorker writes one family with a sample per worker, labelled by URL.
+func perWorker[V obs.Value](p *obs.Writer, ws []WorkerMetrics, name, typ, help string, value func(WorkerMetrics) V) {
+	p.Family(name, typ, help)
+	for _, wm := range ws {
+		obs.Sample(p, name, "worker", wm.URL, value(wm))
+	}
 }

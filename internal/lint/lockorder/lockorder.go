@@ -17,9 +17,10 @@
 // Locks replay with guardedby's walker (internal/lint/lockreplay), so a
 // `go`/`defer` call adds no edge and a closure starts with nothing held.
 // Callee lock summaries (the set of keys a function transitively acquires,
-// closures excluded — a closure's acquires usually happen on another
-// goroutine) come from a fixpoint over the call graph; dynamic (⊤) sites
-// contribute nothing, same trade as allocflow and ctxflow.
+// leaving out a `go` statement's call and calls inside closures — those
+// acquires usually happen on another goroutine) come from a fixpoint over
+// the call graph; dynamic (⊤) sites contribute nothing, same trade as
+// allocflow and ctxflow.
 package lockorder
 
 import (
@@ -126,19 +127,29 @@ func analyze(prog *callgraph.Program) []cycleReport {
 }
 
 // lockSummaries computes, per function, the set of mutex keys it
-// transitively acquires (closures excluded), with one example site each.
+// transitively acquires on its own goroutine, with one example site each:
+// calls inside function literals and a go statement's own call are left
+// out of both the direct scan and the propagation.
 func lockSummaries(prog *callgraph.Program) map[string]map[string]token.Pos {
 	trans := make(map[string]map[string]token.Pos, len(prog.Nodes))
+	spawned := map[token.Pos]bool{} // the calls of go statements
+	local := map[token.Pos]bool{}   // call sites that run on their caller's goroutine
 	for _, n := range prog.Nodes {
 		acq := map[string]token.Pos{}
 		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			if _, ok := node.(*ast.FuncLit); ok {
+			switch x := node.(type) {
+			case *ast.FuncLit:
 				return false
-			}
-			if call, ok := node.(*ast.CallExpr); ok {
-				if key, op := lockCall(n.Unit, call); op == lockreplay.Acquire {
+			case *ast.GoStmt:
+				spawned[x.Call.Lparen] = true
+			case *ast.CallExpr:
+				if spawned[x.Lparen] {
+					break // its function value and arguments still count
+				}
+				local[x.Lparen] = true
+				if key, op := lockCall(n.Unit, x); op == lockreplay.Acquire {
 					if _, seen := acq[key]; !seen {
-						acq[key] = call.Lparen
+						acq[key] = x.Lparen
 					}
 				}
 			}
@@ -151,6 +162,9 @@ func lockSummaries(prog *callgraph.Program) map[string]map[string]token.Pos {
 		for _, n := range prog.Nodes {
 			mine := trans[n.ID]
 			for _, e := range n.Out {
+				if !local[e.Site] {
+					continue
+				}
 				for key, site := range trans[e.CalleeID] {
 					if _, seen := mine[key]; !seen {
 						mine[key] = site

@@ -1,8 +1,8 @@
 // Package a seeds lock-order cycles for the lockorder fixture: one closed
 // by two direct acquisitions, one closed through a call whose callee
 // acquires transitively, one closed in a go statement's argument. Another
-// pair of mutexes is always taken in a consistent order and must stay
-// quiet.
+// pair of mutexes is always taken in a consistent order, and two more are
+// ordered only across a goroutine start; those must stay quiet.
 package a
 
 import "sync"
@@ -116,4 +116,54 @@ func (v *V) NthenM() {
 	v.m.Lock()
 	v.m.Unlock()
 	v.n.Unlock()
+}
+
+// W only spawns the goroutine that takes q, so holding p around spawn
+// orders nothing: the new goroutine never holds p. No cycle.
+type W struct{ p, q sync.Mutex }
+
+func (w *W) lockQ() {
+	w.q.Lock()
+	w.q.Unlock()
+}
+
+func (w *W) spawn() { go w.lockQ() }
+
+func (w *W) PthenSpawn() {
+	w.p.Lock()
+	w.spawn()
+	w.p.Unlock()
+}
+
+func (w *W) QthenP() {
+	w.q.Lock()
+	w.p.Lock()
+	w.p.Unlock()
+	w.q.Unlock()
+}
+
+// X is W with the goroutine starting a closure that takes q. No cycle.
+type X struct{ p, q sync.Mutex }
+
+func (x *X) lockQ() {
+	x.q.Lock()
+	x.q.Unlock()
+}
+
+func (x *X) later() {
+	f := func() { x.lockQ() }
+	go f()
+}
+
+func (x *X) PthenLater() {
+	x.p.Lock()
+	x.later()
+	x.p.Unlock()
+}
+
+func (x *X) QthenP() {
+	x.q.Lock()
+	x.p.Lock()
+	x.p.Unlock()
+	x.q.Unlock()
 }

@@ -1,13 +1,6 @@
-package service
+package obs
 
 import "sync"
-
-// DefaultLatencyBuckets returns the upper bounds (seconds) of the
-// compile-latency histogram: sub-millisecond buckets catch cache hits,
-// the top buckets cover full 75-qubit random-suite compilations.
-func DefaultLatencyBuckets() []float64 {
-	return []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30}
-}
 
 // Histogram is a fixed-bucket cumulative histogram in the Prometheus
 // style: counts[i] counts observations <= buckets[i], plus an implicit

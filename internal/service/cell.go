@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -64,22 +63,31 @@ const expandCacheSize = 16
 // SubmitCell validates a cell request and enqueues it as a single-cell job
 // on the shared bounded queue. Validation failures are *RequestError
 // (HTTP 400); admission rejections are ErrQueueFull (429 + Retry-After).
-//
-//muzzle:nolock the job is newly built and unshared until enqueue publishes it
 func (m *Manager) SubmitCell(req coord.CellRequest) (JobView, error) {
+	j := newJob()
+	if err := m.prepareCell(j, req); err != nil {
+		return JobView{}, err
+	}
+	return m.enqueue(j)
+}
+
+// prepareCell validates a cell request and fills the job's derived fields
+// (the expanded grid, cell index, run knobs). It is shared by SubmitCell
+// and journal recovery, as prepare is for compile jobs.
+//
+//muzzle:nolock the job is unpublished: a submission or recovery is still building it
+func (m *Manager) prepareCell(j *job, req coord.CellRequest) error {
 	e, err := m.expandCellGrid(req.Grid)
 	if err != nil {
-		return JobView{}, &RequestError{Code: "bad_grid", Err: err}
+		return &RequestError{Code: "bad_grid", Err: err}
 	}
 	if req.Index < 0 || req.Index >= len(e.Cells) {
-		return JobView{}, badRequest("bad_cell", "cell index %d out of range [0, %d)", req.Index, len(e.Cells))
+		return badRequest("bad_cell", "cell index %d out of range [0, %d)", req.Index, len(e.Cells))
 	}
 	if req.TimeoutMS < 0 {
-		return JobView{}, badRequest("bad_request", "timeout_ms %d must be >= 0", req.TimeoutMS)
+		return badRequest("bad_request", "timeout_ms %d must be >= 0", req.TimeoutMS)
 	}
-	j := newJob()
 	j.sweep = e
-	j.grid = &e.Grid
 	j.source = SourceCell
 	j.cellIndex = req.Index
 	// The run loop's timeout and verify plumbing read the request record,
@@ -87,7 +95,7 @@ func (m *Manager) SubmitCell(req coord.CellRequest) (JobView, error) {
 	j.req = Request{TimeoutMS: req.TimeoutMS, Verify: req.Verify}
 	j.compilers = append([]string(nil), e.Grid.Compilers...)
 	j.total = 1
-	return m.enqueue(j)
+	return nil
 }
 
 // runCellJob executes a dequeued single-cell job: one cell of the expanded
@@ -116,11 +124,7 @@ func (m *Manager) runCellJob(ctx context.Context, j *job) {
 		j.done = 1
 	}
 	j.mu.Unlock()
-	ev := Event{Kind: EventCell, Index: cr.Index, Circuit: cr.ID, Cell: &cr}
-	if cr.Error != "" {
-		ev.Error = cr.Error
-	}
-	j.emit(ev)
+	j.emit(Event{Kind: EventCell, Index: cr.Index, Circuit: cr.ID, Cell: &cr, Error: cr.Error})
 	switch {
 	case ctx.Err() == context.DeadlineExceeded:
 		m.finish(j, StateFailed, fmt.Sprintf("timed out after %dms", j.req.TimeoutMS))
@@ -148,16 +152,7 @@ func (m *Manager) runCellJob(ctx context.Context, j *job) {
 //	500  transient execution failure (timeout, internal error): retry.
 func (m *Manager) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req coord.CellRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad_json", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	view, err := m.SubmitCell(req)

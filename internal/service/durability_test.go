@@ -329,6 +329,54 @@ func TestDurableCancelAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRecoverJournaledCell starts a manager on a journal whose only job is
+// a pending /v1/cells submission, written as a literal record in the
+// journal's format: the cell job must come back and run to done with its
+// report, without a waiting HTTP client.
+func TestRecoverJournaledCell(t *testing.T) {
+	dir := t.TempDir()
+	j1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload = `{"created":"2026-01-02T03:04:05Z","cell":{"grid":{"topologies":[{"family":"line","traps":4}],` +
+		`"capacities":[6],"comm_capacities":[2],"compilers":["baseline","optimized"],` +
+		`"circuits":[{"kind":"qft","qubits":6},{"kind":"random","qubits":8,"gates_2q":20,"seed":3}]},` +
+		`"index":1,"timeout_ms":60000,"verify":true}}`
+	err = j1.Append(store.Record{Kind: "submit", JobID: "cell-1", Source: service.SourceCell,
+		State: string(service.StatePending), Payload: json.RawMessage(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := service.New(service.Config{Workers: 1, Journal: j2})
+	t.Cleanup(func() {
+		mgr.Close()
+		j2.Close()
+	})
+	if got := mgr.MetricsSnapshot().JobsRecovered; got != 1 {
+		t.Fatalf("recovered %d jobs, want 1", got)
+	}
+	v := waitState(t, mgr, "cell-1", service.StateDone)
+	if v.Source != service.SourceCell || v.CircuitsTotal != 1 || v.CircuitsDone != 1 {
+		t.Fatalf("recovered cell job: source %q, %d of %d done", v.Source, v.CircuitsDone, v.CircuitsTotal)
+	}
+	if len(v.Compilers) != 2 || v.Compilers[0] != "baseline" || v.Compilers[1] != "optimized" {
+		t.Fatalf("recovered cell job compilers = %v", v.Compilers)
+	}
+	cr := v.Cell
+	if cr == nil || cr.Index != 1 || cr.Error != "" || cr.Qubits != 8 || len(cr.Outcomes) != 2 {
+		t.Fatalf("recovered cell report = %+v, want cell 1 (random, 8 qubits) under both compilers", cr)
+	}
+}
+
 // TestDrainLeavesQueuedPending: a graceful drain refuses new submissions,
 // lets the running job finish, leaves the queued job untouched — and the
 // next process recovers and completes it.

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"muzzle"
+	"muzzle/internal/obs"
 	"muzzle/internal/sweep"
 )
 
@@ -94,18 +94,28 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 // exhaust the daemon's memory.
 const maxRequestBody = 4 << 20
 
+// decodeBody decodes a POST body as one JSON value into v, rejecting
+// unknown fields and bodies past maxRequestBody. On failure it has
+// answered 413 too_large or 400 bad_json, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
+	default:
+		writeError(w, http.StatusBadRequest, "bad_json", err)
+	}
+	return false
+}
+
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad_json", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	view, err := m.Submit(req)
@@ -147,16 +157,7 @@ func (m *Manager) submitErr(w http.ResponseWriter, err error) {
 
 func (m *Manager) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var grid sweep.Grid
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&grid); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad_json", err)
+	if !decodeBody(w, r, &grid) {
 		return
 	}
 	view, err := m.SubmitSweep(grid)
@@ -300,142 +301,57 @@ func (m *Manager) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics renders the counters in the Prometheus text exposition
-// format (hand-rolled: the repo takes no dependencies).
+// handleMetrics serves the counters in the Prometheus text format.
 func (m *Manager) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	met := m.MetricsSnapshot()
-	var b strings.Builder
-	b.WriteString("# HELP muzzled_uptime_seconds Seconds since the service started.\n")
-	b.WriteString("# TYPE muzzled_uptime_seconds gauge\n")
-	fmt.Fprintf(&b, "muzzled_uptime_seconds %g\n", met.UptimeSeconds)
-
-	b.WriteString("# HELP muzzled_jobs_submitted_total Jobs accepted since start.\n")
-	b.WriteString("# TYPE muzzled_jobs_submitted_total counter\n")
-	fmt.Fprintf(&b, "muzzled_jobs_submitted_total %d\n", met.JobsSubmitted)
-
-	b.WriteString("# HELP muzzled_jobs Jobs currently tracked, by state.\n")
-	b.WriteString("# TYPE muzzled_jobs gauge\n")
+	var p obs.Writer
+	obs.Single(&p, "muzzled_uptime_seconds", obs.Gauge, "Seconds since the service started.", met.UptimeSeconds)
+	obs.Single(&p, "muzzled_jobs_submitted_total", obs.Counter, "Jobs accepted since start.", met.JobsSubmitted)
+	p.Family("muzzled_jobs", obs.Gauge, "Jobs currently tracked, by state.")
 	for _, s := range []State{StatePending, StateRunning, StateDone, StateFailed, StateCanceled} {
-		fmt.Fprintf(&b, "muzzled_jobs{state=%q} %d\n", string(s), met.JobsByState[s])
+		obs.Sample(&p, "muzzled_jobs", "state", string(s), met.JobsByState[s])
 	}
-
-	b.WriteString("# HELP muzzled_jobs_recovered_total Jobs replayed from the journal at startup.\n")
-	b.WriteString("# TYPE muzzled_jobs_recovered_total counter\n")
-	fmt.Fprintf(&b, "muzzled_jobs_recovered_total %d\n", met.JobsRecovered)
-
-	b.WriteString("# HELP muzzled_queue_depth Jobs waiting in the admission queue.\n")
-	b.WriteString("# TYPE muzzled_queue_depth gauge\n")
-	fmt.Fprintf(&b, "muzzled_queue_depth %d\n", met.QueueDepth)
-	b.WriteString("# HELP muzzled_queue_capacity Admission bound: submits past this pending depth are rejected.\n")
-	b.WriteString("# TYPE muzzled_queue_capacity gauge\n")
-	fmt.Fprintf(&b, "muzzled_queue_capacity %d\n", met.QueueCapacity)
-	b.WriteString("# HELP muzzled_admission_rejected_total Submits rejected with 429 by the queue-depth bound.\n")
-	b.WriteString("# TYPE muzzled_admission_rejected_total counter\n")
-	fmt.Fprintf(&b, "muzzled_admission_rejected_total %d\n", met.AdmissionRejected)
-
-	b.WriteString("# HELP muzzled_draining Whether the daemon is refusing new submissions while shutting down.\n")
-	b.WriteString("# TYPE muzzled_draining gauge\n")
-	draining := 0
-	if met.Draining {
-		draining = 1
-	}
-	fmt.Fprintf(&b, "muzzled_draining %d\n", draining)
-
-	b.WriteString("# HELP muzzled_degraded Per-component degraded state (1 = operating in reduced mode, still serving).\n")
-	b.WriteString("# TYPE muzzled_degraded gauge\n")
+	obs.Single(&p, "muzzled_jobs_recovered_total", obs.Counter, "Jobs replayed from the journal at startup.", met.JobsRecovered)
+	obs.Single(&p, "muzzled_queue_depth", obs.Gauge, "Jobs waiting in the admission queue.", met.QueueDepth)
+	obs.Single(&p, "muzzled_queue_capacity", obs.Gauge, "Admission bound: submits past this pending depth are rejected.", met.QueueCapacity)
+	obs.Single(&p, "muzzled_admission_rejected_total", obs.Counter, "Submits rejected with 429 by the queue-depth bound.", met.AdmissionRejected)
+	obs.Single(&p, "muzzled_draining", obs.Gauge, "Whether the daemon is refusing new submissions while shutting down.", met.Draining)
+	p.Family("muzzled_degraded", obs.Gauge, "Per-component degraded state (1 = operating in reduced mode, still serving).")
 	deg := met.Degraded()
 	for _, comp := range []string{"cache_disk", "journal"} {
-		v := 0
-		if deg[comp] {
-			v = 1
-		}
-		fmt.Fprintf(&b, "muzzled_degraded{component=%q} %d\n", comp, v)
+		obs.Sample(&p, "muzzled_degraded", "component", comp, deg[comp])
+	}
+	obs.Single(&p, "muzzled_panics_recovered_total", obs.Counter, "Panics contained by the HTTP layer and job workers.", met.PanicsRecovered)
+
+	if f := met.Flight; f != nil {
+		obs.Single(&p, "muzzled_flight_executions_total", obs.Counter, "Evaluations that ran as a single-flight leader.", f.Executions)
+		obs.Single(&p, "muzzled_flight_coalesced_total", obs.Counter, "Evaluations that shared another caller's in-flight execution.", f.Coalesced)
+		obs.Single(&p, "muzzled_flight_retries_total", obs.Counter, "Followers re-executed because their leader aborted on its own context.", f.Retries)
+		obs.Single(&p, "muzzled_flight_in_flight", obs.Gauge, "Distinct evaluations currently executing under the group.", f.InFlight)
 	}
 
-	b.WriteString("# HELP muzzled_panics_recovered_total Panics contained by the HTTP layer and job workers.\n")
-	b.WriteString("# TYPE muzzled_panics_recovered_total counter\n")
-	fmt.Fprintf(&b, "muzzled_panics_recovered_total %d\n", met.PanicsRecovered)
-
-	if met.Flight != nil {
-		b.WriteString("# HELP muzzled_flight_executions_total Evaluations that ran as a single-flight leader.\n")
-		b.WriteString("# TYPE muzzled_flight_executions_total counter\n")
-		fmt.Fprintf(&b, "muzzled_flight_executions_total %d\n", met.Flight.Executions)
-		b.WriteString("# HELP muzzled_flight_coalesced_total Evaluations that shared another caller's in-flight execution.\n")
-		b.WriteString("# TYPE muzzled_flight_coalesced_total counter\n")
-		fmt.Fprintf(&b, "muzzled_flight_coalesced_total %d\n", met.Flight.Coalesced)
-		b.WriteString("# HELP muzzled_flight_retries_total Followers re-executed because their leader aborted on its own context.\n")
-		b.WriteString("# TYPE muzzled_flight_retries_total counter\n")
-		fmt.Fprintf(&b, "muzzled_flight_retries_total %d\n", met.Flight.Retries)
-		b.WriteString("# HELP muzzled_flight_in_flight Distinct evaluations currently executing under the group.\n")
-		b.WriteString("# TYPE muzzled_flight_in_flight gauge\n")
-		fmt.Fprintf(&b, "muzzled_flight_in_flight %d\n", met.Flight.InFlight)
+	if s := met.Store; s != nil {
+		obs.Single(&p, "muzzled_store_appends_total", obs.Counter, "Journal records fsync'd this process.", s.Appends)
+		obs.Single(&p, "muzzled_store_compactions_total", obs.Counter, "Journal snapshot folds this process.", s.Compactions)
+		obs.Single(&p, "muzzled_store_replayed_records", obs.Gauge, "Journal WAL records replayed at startup.", s.Replayed)
+		obs.Single(&p, "muzzled_store_truncated_bytes", obs.Gauge, "Torn WAL tail discarded at startup.", s.TruncatedBytes)
+		obs.Single(&p, "muzzled_store_jobs", obs.Gauge, "Jobs tracked by the journal.", s.Jobs)
+		obs.Single(&p, "muzzled_store_wal_bytes", obs.Gauge, "Current journal WAL size.", s.WALBytes)
+		obs.Single(&p, "muzzled_store_errors_total", obs.Counter, "Journal appends or compactions that failed (recovery fidelity degraded).", met.StoreErrors)
 	}
 
-	if met.Store != nil {
-		b.WriteString("# HELP muzzled_store_appends_total Journal records fsync'd this process.\n")
-		b.WriteString("# TYPE muzzled_store_appends_total counter\n")
-		fmt.Fprintf(&b, "muzzled_store_appends_total %d\n", met.Store.Appends)
-		b.WriteString("# HELP muzzled_store_compactions_total Journal snapshot folds this process.\n")
-		b.WriteString("# TYPE muzzled_store_compactions_total counter\n")
-		fmt.Fprintf(&b, "muzzled_store_compactions_total %d\n", met.Store.Compactions)
-		b.WriteString("# HELP muzzled_store_replayed_records Journal WAL records replayed at startup.\n")
-		b.WriteString("# TYPE muzzled_store_replayed_records gauge\n")
-		fmt.Fprintf(&b, "muzzled_store_replayed_records %d\n", met.Store.Replayed)
-		b.WriteString("# HELP muzzled_store_truncated_bytes Torn WAL tail discarded at startup.\n")
-		b.WriteString("# TYPE muzzled_store_truncated_bytes gauge\n")
-		fmt.Fprintf(&b, "muzzled_store_truncated_bytes %d\n", met.Store.TruncatedBytes)
-		b.WriteString("# HELP muzzled_store_jobs Jobs tracked by the journal.\n")
-		b.WriteString("# TYPE muzzled_store_jobs gauge\n")
-		fmt.Fprintf(&b, "muzzled_store_jobs %d\n", met.Store.Jobs)
-		b.WriteString("# HELP muzzled_store_wal_bytes Current journal WAL size.\n")
-		b.WriteString("# TYPE muzzled_store_wal_bytes gauge\n")
-		fmt.Fprintf(&b, "muzzled_store_wal_bytes %d\n", met.Store.WALBytes)
-		b.WriteString("# HELP muzzled_store_errors_total Journal appends or compactions that failed (recovery fidelity degraded).\n")
-		b.WriteString("# TYPE muzzled_store_errors_total counter\n")
-		fmt.Fprintf(&b, "muzzled_store_errors_total %d\n", met.StoreErrors)
+	if c := met.Cache; c != nil {
+		obs.Single(&p, "muzzled_cache_hits_total", obs.Counter, "Compile-cache hits (memory + disk).", c.Hits)
+		obs.Single(&p, "muzzled_cache_misses_total", obs.Counter, "Compile-cache misses.", c.Misses)
+		obs.Single(&p, "muzzled_cache_disk_hits_total", obs.Counter, "Hits served from the disk tier.", c.DiskHits)
+		obs.Single(&p, "muzzled_cache_evictions_total", obs.Counter, "In-memory LRU evictions.", c.Evictions)
+		obs.Single(&p, "muzzled_cache_entries", obs.Gauge, "In-memory cache entries.", c.Entries)
+		obs.Single(&p, "muzzled_cache_disk_entries", obs.Gauge, "Resident files in the disk tier.", c.DiskEntries)
+		obs.Single(&p, "muzzled_cache_disk_evictions_total", obs.Counter, "Disk-tier files deleted by the size bound.", c.DiskEvictions)
+		obs.Single(&p, "muzzled_cache_disk_errors_total", obs.Counter, "Disk-tier read/write/sweep I/O failures (served from memory instead).", c.DiskErrors)
+		obs.Single(&p, "muzzled_cache_disk_trips_total", obs.Counter, "Times the disk tier tripped to memory-only after consecutive I/O errors.", c.DiskTrips)
 	}
 
-	if met.Cache != nil {
-		b.WriteString("# HELP muzzled_cache_hits_total Compile-cache hits (memory + disk).\n")
-		b.WriteString("# TYPE muzzled_cache_hits_total counter\n")
-		fmt.Fprintf(&b, "muzzled_cache_hits_total %d\n", met.Cache.Hits)
-		b.WriteString("# HELP muzzled_cache_misses_total Compile-cache misses.\n")
-		b.WriteString("# TYPE muzzled_cache_misses_total counter\n")
-		fmt.Fprintf(&b, "muzzled_cache_misses_total %d\n", met.Cache.Misses)
-		b.WriteString("# HELP muzzled_cache_disk_hits_total Hits served from the disk tier.\n")
-		b.WriteString("# TYPE muzzled_cache_disk_hits_total counter\n")
-		fmt.Fprintf(&b, "muzzled_cache_disk_hits_total %d\n", met.Cache.DiskHits)
-		b.WriteString("# HELP muzzled_cache_evictions_total In-memory LRU evictions.\n")
-		b.WriteString("# TYPE muzzled_cache_evictions_total counter\n")
-		fmt.Fprintf(&b, "muzzled_cache_evictions_total %d\n", met.Cache.Evictions)
-		b.WriteString("# HELP muzzled_cache_entries In-memory cache entries.\n")
-		b.WriteString("# TYPE muzzled_cache_entries gauge\n")
-		fmt.Fprintf(&b, "muzzled_cache_entries %d\n", met.Cache.Entries)
-		b.WriteString("# HELP muzzled_cache_disk_entries Resident files in the disk tier.\n")
-		b.WriteString("# TYPE muzzled_cache_disk_entries gauge\n")
-		fmt.Fprintf(&b, "muzzled_cache_disk_entries %d\n", met.Cache.DiskEntries)
-		b.WriteString("# HELP muzzled_cache_disk_evictions_total Disk-tier files deleted by the size bound.\n")
-		b.WriteString("# TYPE muzzled_cache_disk_evictions_total counter\n")
-		fmt.Fprintf(&b, "muzzled_cache_disk_evictions_total %d\n", met.Cache.DiskEvictions)
-		b.WriteString("# HELP muzzled_cache_disk_errors_total Disk-tier read/write/sweep I/O failures (served from memory instead).\n")
-		b.WriteString("# TYPE muzzled_cache_disk_errors_total counter\n")
-		fmt.Fprintf(&b, "muzzled_cache_disk_errors_total %d\n", met.Cache.DiskErrors)
-		b.WriteString("# HELP muzzled_cache_disk_trips_total Times the disk tier tripped to memory-only after consecutive I/O errors.\n")
-		b.WriteString("# TYPE muzzled_cache_disk_trips_total counter\n")
-		fmt.Fprintf(&b, "muzzled_cache_disk_trips_total %d\n", met.Cache.DiskTrips)
-	}
-
-	h := met.CompileLatency
-	b.WriteString("# HELP muzzled_compile_latency_seconds Per-circuit evaluation wall time (compile + simulate across the compiler set; cache hits land in the lowest buckets).\n")
-	b.WriteString("# TYPE muzzled_compile_latency_seconds histogram\n")
-	for i, ub := range h.Buckets {
-		fmt.Fprintf(&b, "muzzled_compile_latency_seconds_bucket{le=%q} %d\n",
-			fmt.Sprintf("%g", ub), h.Cumulative[i])
-	}
-	fmt.Fprintf(&b, "muzzled_compile_latency_seconds_bucket{le=\"+Inf\"} %d\n", h.Count)
-	fmt.Fprintf(&b, "muzzled_compile_latency_seconds_sum %g\n", h.Sum)
-	fmt.Fprintf(&b, "muzzled_compile_latency_seconds_count %d\n", h.Count)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String())) //nolint:errcheck
+	p.Histogram("muzzled_compile_latency_seconds", "Per-circuit evaluation wall time (compile + simulate across the compiler set; cache hits land in the lowest buckets).", met.CompileLatency)
+	p.Serve(w)
 }

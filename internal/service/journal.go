@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"muzzle"
+	"muzzle/internal/coord"
 	"muzzle/internal/store"
 	"muzzle/internal/sweep"
 )
@@ -33,19 +34,12 @@ type storedSubmit struct {
 	Request *Request `json:"request,omitempty"`
 	// Grid is a sweep job's normalized grid.
 	Grid *sweep.Grid `json:"grid,omitempty"`
-	// Cell is a single-cell job's grid + index (POST /v1/cells).
-	Cell *storedCell `json:"cell,omitempty"`
-}
-
-// storedCell journals one coordinator-dispatched cell. Recovered cell jobs
-// re-run without a waiting HTTP client: the result lands in the journal
-// and — via the shared content-addressed cache — makes the coordinator's
-// own retry of the cell nearly free.
-type storedCell struct {
-	Grid      sweep.Grid `json:"grid"`
-	Index     int        `json:"index"`
-	TimeoutMS int64      `json:"timeout_ms,omitempty"`
-	Verify    bool       `json:"verify,omitempty"`
+	// Cell is a coordinator-dispatched cell (POST /v1/cells), its grid
+	// normalized. Recovered cell jobs re-run without a waiting HTTP
+	// client: the result lands in the journal and — via the shared
+	// content-addressed cache — makes the coordinator's own retry of the
+	// cell nearly free.
+	Cell *coord.CellRequest `json:"cell,omitempty"`
 }
 
 // storedOutcome is the terminal payload: the results a restarted daemon
@@ -70,10 +64,10 @@ func (m *Manager) journalSubmit(j *job) error {
 	sub := storedSubmit{Created: j.created}
 	switch {
 	case j.source == SourceCell:
-		sub.Cell = &storedCell{Grid: *j.grid, Index: j.cellIndex,
+		sub.Cell = &coord.CellRequest{Grid: j.sweep.Grid, Index: j.cellIndex,
 			TimeoutMS: j.req.TimeoutMS, Verify: j.req.Verify}
-	case j.grid != nil:
-		sub.Grid = j.grid
+	case j.sweep != nil:
+		sub.Grid = &j.sweep.Grid
 	default:
 		req := j.req
 		sub.Request = &req
@@ -204,10 +198,8 @@ func (m *Manager) recoverJob(js *store.JobState) (j *job, runnable bool, err err
 	}
 	switch {
 	case sub.Cell != nil:
-		j.grid = &sub.Cell.Grid
 		j.compilers = append([]string(nil), sub.Cell.Grid.Compilers...)
 	case sub.Grid != nil:
-		j.grid = sub.Grid
 		j.compilers = append([]string(nil), sub.Grid.Compilers...)
 	case sub.Request != nil:
 		j.compilers = append([]string(nil), sub.Request.Compilers...)
@@ -230,34 +222,17 @@ func (m *Manager) recoverJob(js *store.JobState) (j *job, runnable bool, err err
 		return j, false, nil
 	}
 
-	// Live job: rebuild the executable form, running → pending.
+	// Live job: re-prepare it as its submission did, running → pending.
 	j.state = StatePending
 	switch {
 	case sub.Cell != nil:
-		e, err := m.expandCellGrid(sub.Cell.Grid)
-		if err != nil {
-			return j, false, fmt.Errorf("re-expand cell grid: %w", err)
-		}
-		if sub.Cell.Index < 0 || sub.Cell.Index >= len(e.Cells) {
-			return j, false, fmt.Errorf("cell index %d out of range [0, %d)", sub.Cell.Index, len(e.Cells))
-		}
-		j.sweep = e
-		j.cellIndex = sub.Cell.Index
-		j.req = Request{TimeoutMS: sub.Cell.TimeoutMS, Verify: sub.Cell.Verify}
-		j.total = 1
+		err = m.prepareCell(j, *sub.Cell)
 	case sub.Grid != nil:
-		e, err := sweep.Expand(*sub.Grid)
-		if err != nil {
-			return j, false, fmt.Errorf("re-expand sweep grid: %w", err)
-		}
-		j.sweep = e
-		j.total = len(e.Cells)
+		err = prepareSweep(j, *sub.Grid)
 	case sub.Request != nil:
-		if err := prepare(j, *sub.Request); err != nil {
-			return j, false, err
-		}
+		err = prepare(j, *sub.Request)
 	default:
-		return j, false, fmt.Errorf("submission record has no request or grid")
+		err = fmt.Errorf("submission record has no request or grid")
 	}
-	return j, true, nil
+	return j, err == nil, err
 }

@@ -38,6 +38,7 @@ import (
 
 	"muzzle"
 	"muzzle/internal/coord"
+	"muzzle/internal/obs"
 	"muzzle/internal/store"
 	"muzzle/internal/sweep"
 )
@@ -116,7 +117,7 @@ type Manager struct {
 	expOrder []string                   // guarded by expMu
 
 	hostname string
-	latency  *Histogram
+	latency  *obs.Histogram
 }
 
 // New starts a Manager and its workers. With Config.Journal set it first
@@ -146,7 +147,9 @@ func New(cfg Config) *Manager {
 		jobs:     make(map[string]*job),
 		expCache: make(map[string]*sweep.Expanded),
 		hostname: host,
-		latency:  NewHistogram(DefaultLatencyBuckets()),
+		// Compile-latency bounds in seconds: sub-millisecond buckets catch
+		// cache hits, the top ones cover full 75-qubit random-suite compiles.
+		latency: obs.NewHistogram([]float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30}),
 	}
 	// Recovery runs before the queue exists so the channel can be sized to
 	// hold every recovered job on top of the configured depth — re-admitting
@@ -283,8 +286,8 @@ type Metrics struct {
 	// PanicsRecovered counts panics contained by the HTTP layer and the
 	// job workers — each one is a bug, but a structured 500 or a failed
 	// job instead of a dead daemon.
-	PanicsRecovered uint64            `json:"panics_recovered"`
-	CompileLatency  HistogramSnapshot `json:"compile_latency_seconds"`
+	PanicsRecovered uint64                `json:"panics_recovered"`
+	CompileLatency  obs.HistogramSnapshot `json:"compile_latency_seconds"`
 }
 
 // Degraded reports the per-component degraded states the daemon exposes

@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Fatalf("Count = %d, want 5", s.Count)
-	}
-	want := []uint64{1, 3, 4} // cumulative: <=0.1, <=1, <=10
-	for i, w := range want {
-		if s.Cumulative[i] != w {
-			t.Errorf("Cumulative[%d] = %d, want %d", i, s.Cumulative[i], w)
-		}
-	}
-	if s.Sum != 56.05 {
-		t.Errorf("Sum = %g, want 56.05", s.Sum)
-	}
-}
-
 func TestStateTerminal(t *testing.T) {
 	for s, terminal := range map[State]bool{
 		StatePending: false, StateRunning: false,

@@ -13,26 +13,34 @@ import (
 // table, cancellation, retention, and the SSE event plumbing. Invalid
 // grids — bad topology parameters, unknown compilers, impossible capacity
 // combinations — are rejected up front as *RequestError (HTTP 400);
-// nothing a client submits can crash a worker. The expanded grid is kept
-// on the job for its cell count; the coordinator that runs the job expands
-// the normalized grid once more.
-//
-//muzzle:nolock the job is newly built and unshared until enqueue publishes it
+// nothing a client submits can crash a worker.
 func (m *Manager) SubmitSweep(g sweep.Grid) (JobView, error) {
+	j := newJob()
+	if err := prepareSweep(j, g); err != nil {
+		return JobView{}, err
+	}
+	return m.enqueue(j)
+}
+
+// prepareSweep validates a sweep grid and fills the job's derived fields.
+// It is shared by SubmitSweep and journal recovery, as prepare is for
+// compile jobs. The expanded grid is kept on the job for its cell count;
+// the coordinator that runs the job expands the normalized grid once more.
+//
+//muzzle:nolock the job is unpublished: a submission or recovery is still building it
+func prepareSweep(j *job, g sweep.Grid) error {
 	e, err := sweep.Expand(g)
 	if err != nil {
-		return JobView{}, &RequestError{Code: "bad_grid", Err: err}
+		return &RequestError{Code: "bad_grid", Err: err}
 	}
 	if len(e.Cells) == 0 {
-		return JobView{}, badRequest("bad_grid", "grid expands to zero cells")
+		return badRequest("bad_grid", "grid expands to zero cells")
 	}
-	j := newJob()
 	j.sweep = e
-	j.grid = &e.Grid
 	j.source = SourceSweep
 	j.compilers = append([]string(nil), e.Grid.Compilers...)
 	j.total = len(e.Cells)
-	return m.enqueue(j)
+	return nil
 }
 
 // runSweep executes a dequeued sweep job on an in-process coordinator,
@@ -48,18 +56,12 @@ func (m *Manager) runSweep(ctx context.Context, j *job) {
 		Flight:            m.cfg.Flight,
 		Verify:            m.cfg.Verify,
 		OnCell: func(cr sweep.CellReport) {
-			ev := Event{Kind: EventCell, Index: cr.Index, Circuit: cr.ID}
-			cell := cr
-			ev.Cell = &cell
-			if cr.Error != "" {
-				ev.Error = cr.Error
-			}
 			j.mu.Lock()
 			if cr.Error == "" {
 				j.done++
 			}
 			j.mu.Unlock()
-			j.emit(ev)
+			j.emit(Event{Kind: EventCell, Index: cr.Index, Circuit: cr.ID, Cell: &cr, Error: cr.Error})
 		},
 	})
 	var rep *sweep.Report

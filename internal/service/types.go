@@ -158,8 +158,7 @@ type job struct {
 	source    string          // SourceQASM, SourceRandom, or SourceSweep
 	compilers []string        // effective compiler set, for views
 	circ      *muzzle.Circuit // parsed QASM source (nil for random and sweep jobs)
-	sweep     *sweep.Expanded // sweep and cell jobs: the validated, expanded grid (nil otherwise)
-	grid      *sweep.Grid     // sweep and cell jobs: the normalized grid, for journaling
+	sweep     *sweep.Expanded // sweep and cell jobs: the validated, expanded grid (nil otherwise); its Grid is journaled
 	cellIndex int             // cell jobs: which cell of the expanded grid to run
 
 	mu           sync.Mutex
