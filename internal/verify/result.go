@@ -5,14 +5,14 @@ import (
 
 	"muzzle/internal/circuit"
 	"muzzle/internal/compiler"
-	"muzzle/internal/dag"
 	"muzzle/internal/machine"
 )
 
 // Result verifies a full compilation result: the op-stream replay of
 // Replay plus the Result-level consistency checks — the summary counters
 // must agree with the trace, and the recorded gate Order must be a valid
-// DAG linearization whose physical subsequence matches the executed trace.
+// linearization of the circuit whose physical subsequence matches the
+// executed trace.
 // An empty slice means the schedule is provably legal.
 //
 // Summary-only results (evaluation outcomes and compile-cache entries,
@@ -29,10 +29,9 @@ func Result(res *compiler.Result) []Violation {
 		return []Violation{{Op: -1, Kind: KindMetadata,
 			Detail: "result carries no operation trace (summary-only, e.g. an evaluation outcome or cache entry); recompile to verify"}}
 	}
-	g := dag.Build(res.Circ)
-	vs := replay(res.Circ, res.Config, res.InitialPlacement, res.Ops, g)
+	vs := Replay(res.Circ, res.Config, res.InitialPlacement, res.Ops)
 	vs = append(vs, checkCounters(res)...)
-	vs = append(vs, checkOrder(res, g)...)
+	vs = append(vs, checkOrder(res)...)
 	return vs
 }
 
@@ -61,14 +60,14 @@ func checkCounters(res *compiler.Result) []Violation {
 	return vs
 }
 
-// checkOrder validates the recorded gate Order against g, the dependency
-// graph of res.Circ: a permutation respecting every dependency edge whose
-// physical subsequence equals the trace's executed gate sequence.
-func checkOrder(res *compiler.Result, g *dag.Graph) []Violation {
+// checkOrder validates the recorded gate Order: a linearization of
+// res.Circ (validOrder) whose physical subsequence equals the trace's
+// executed gate sequence.
+func checkOrder(res *compiler.Result) []Violation {
 	if res.Order == nil {
 		return []Violation{{Op: -1, Kind: KindMetadata, Detail: "result carries no gate order"}}
 	}
-	if err := g.ValidOrder(res.Order); err != nil {
+	if err := validOrder(res.Circ, res.Order); err != nil {
 		return []Violation{{Op: -1, Kind: KindMetadata, Detail: fmt.Sprintf("recorded order invalid: %v", err)}}
 	}
 	// The trace's gate ops, in stream order, must equal Order restricted to

@@ -22,6 +22,14 @@
 //     source gate carrying the classical target);
 //  5. ions are conserved: none duplicated, lost, or left in transit.
 //
+// The verifier builds no dependency graph. The graph joins consecutive
+// gates on a shared qubit, barriers included, so an order of the gates is a
+// linearization exactly when, on every qubit, the gates touching it appear
+// in increasing index order; a barrier, which the trace does not record,
+// is crossed once every qubit it spans has reached it. Both order checks
+// keep per-qubit cursors (order.go), and each ion's chain position is kept
+// beside its chain, so no op scans a chain.
+//
 // Violations carry the op index, a stable Kind, and a human-readable
 // detail; an empty slice means the schedule is provably legal under the
 // machine model. The verifier never panics on malformed input — arbitrary
@@ -34,7 +42,6 @@ import (
 	"strings"
 
 	"muzzle/internal/circuit"
-	"muzzle/internal/dag"
 	"muzzle/internal/machine"
 )
 
@@ -60,11 +67,12 @@ const (
 	// ion, a MOVE without a preceding SPLIT (or from the wrong chain end),
 	// a MERGE without a MOVE, or a SWAP of non-adjacent ions.
 	KindProtocol Kind = "protocol"
-	// KindOrder marks a gate-order violation: a gate executed before one of
-	// its DAG predecessors, executed twice, never executed, or an op that
-	// does not match its source gate (name, operands, or kind) — the latter
-	// also breaks measurement Cbit wiring, since the classical target lives
-	// on the source gate the op's Gate index addresses.
+	// KindOrder marks a gate-order violation: a gate executed out of
+	// program order on one of its qubits or across a barrier, executed
+	// twice, never executed, or an op that does not match its source gate
+	// (name, operands, or kind) — the latter also breaks measurement Cbit
+	// wiring, since the classical target lives on the source gate the op's
+	// Gate index addresses.
 	KindOrder Kind = "order"
 	// KindConservation marks an ion lost, duplicated, or left in transit at
 	// the end of the stream.
@@ -142,13 +150,14 @@ const (
 // placement bookkeeping instead of reusing machine.State, so engine and
 // verifier cannot share a bug.
 type replayer struct {
-	circ  *circuit.Circuit
-	cfg   machine.Config
-	graph *dag.Graph
+	circ *circuit.Circuit
+	cfg  machine.Config
+	ops  []machine.Op
 
 	nIons  int
 	trapOf []int   // ion -> trap (the chain it belongs to, or its protocol anchor while in transit)
 	chains [][]int // trap -> ordered chain
+	pos    []int   // ion -> index in its chain, while resident
 	phase  []transit
 	// splitEnd records which chain end the ion was detached from: 0 = low
 	// end, 1 = high end, 2 = either (singleton chain). Valid while phase ==
@@ -158,9 +167,7 @@ type replayer struct {
 	// MERGE must insert at the end facing it).
 	moveFrom []int
 
-	executed []bool // physical gates issued so far
-	// barrierOK memoizes barrier satisfaction (monotone once true).
-	barrierOK []bool
+	order programOrder
 
 	violations []Violation
 	truncated  bool
@@ -181,13 +188,7 @@ func (r *replayer) report(op int, kind Kind, format string, args ...any) {
 // violation found (nil means the schedule is legal). The input is not
 // modified.
 func Replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []machine.Op) []Violation {
-	return replay(circ, cfg, initial, ops, nil)
-}
-
-// replay is Replay over a prebuilt dependency graph of circ; a nil graph is
-// built once the placement checks pass.
-func replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []machine.Op, graph *dag.Graph) []Violation {
-	r := newReplayer(circ, cfg, initial, graph)
+	r := newReplayer(circ, cfg, initial, ops)
 	if r == nil || len(r.violations) > 0 {
 		// A broken machine config or placement invalidates all downstream
 		// state tracking; report what we have rather than cascade.
@@ -196,11 +197,11 @@ func replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []ma
 		}
 		return []Violation{{Op: -1, Kind: KindPlacement, Detail: "nil circuit, topology, or machine config"}}
 	}
-	for i := range ops {
+	for i := range r.ops {
 		if len(r.violations) >= maxViolations {
 			break
 		}
-		r.step(i, ops[i])
+		r.step(i, r.ops[i])
 	}
 	r.finalChecks()
 	if r.truncated {
@@ -211,13 +212,13 @@ func replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []ma
 }
 
 // newReplayer validates the configuration and initial placement and builds
-// the tracking state, building circ's dependency graph when graph is nil. A
-// nil return means the inputs were too malformed to replay at all.
-func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, graph *dag.Graph) *replayer {
+// the tracking state for replaying ops. A nil return means the inputs were
+// too malformed to replay at all.
+func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []machine.Op) *replayer {
 	if circ == nil || cfg.Topology == nil {
 		return nil
 	}
-	r := &replayer{circ: circ, cfg: cfg}
+	r := &replayer{circ: circ, cfg: cfg, ops: ops}
 	if err := cfg.Validate(); err != nil {
 		r.report(-1, KindPlacement, "invalid machine config: %v", err)
 		return r
@@ -233,6 +234,7 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, gra
 	}
 	r.nIons = total
 	r.trapOf = make([]int, total)
+	r.pos = make([]int, total)
 	r.phase = make([]transit, total)
 	r.splitEnd = make([]int, total)
 	r.moveFrom = make([]int, total)
@@ -254,7 +256,7 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, gra
 				t, len(chain), cfg.Capacity, cfg.CommCapacity)
 		}
 		r.chains[t] = append(backing[t*room:t*room:(t+1)*room], chain...)
-		for _, ion := range chain {
+		for p, ion := range chain {
 			if ion < 0 || ion >= total {
 				r.report(-1, KindPlacement, "ion id %d outside dense range [0,%d)", ion, total)
 				return r
@@ -264,18 +266,14 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, gra
 				return r
 			}
 			r.trapOf[ion] = t
+			r.pos[ion] = p
 		}
 	}
 	if total < circ.NumQubits {
 		r.report(-1, KindPlacement, "placement has %d ions, circuit needs %d", total, circ.NumQubits)
 		return r
 	}
-	if graph == nil {
-		graph = dag.Build(circ)
-	}
-	r.graph = graph
-	r.executed = make([]bool, len(circ.Gates))
-	r.barrierOK = make([]bool, len(circ.Gates))
+	r.order = newProgramOrder(circ)
 	return r
 }
 
@@ -316,14 +314,12 @@ func (r *replayer) residentAt(i int, ion, trap int) bool {
 	return true
 }
 
-// chainIndex returns ion's position in its chain, or -1.
-func (r *replayer) chainIndex(ion int) int {
-	for p, q := range r.chains[r.trapOf[ion]] {
-		if q == ion {
-			return p
-		}
+// renumber re-derives the positions of chain's ions from index from on,
+// after a split or merge shifted them.
+func (r *replayer) renumber(chain []int, from int) {
+	for p := from; p < len(chain); p++ {
+		r.pos[chain[p]] = p
 	}
-	return -1
 }
 
 // step replays one op, reporting every invariant it breaks.
@@ -402,9 +398,9 @@ func (r *replayer) stepGate2Q(i int, op machine.Op) {
 	}
 }
 
-// checkGate validates the op's source-gate reference (index, kind, name,
-// execute-once, DAG readiness) and marks it executed. It returns the source
-// gate when the reference itself is usable.
+// checkGate validates the op's source-gate reference (index, kind, name)
+// and runs the gate in program order. It returns the source gate when the
+// reference itself is usable.
 func (r *replayer) checkGate(i int, op machine.Op, want circuit.GateKind) (circuit.Gate, bool) {
 	gate := int(op.Gate)
 	if gate < 0 || gate >= len(r.circ.Gates) {
@@ -412,44 +408,19 @@ func (r *replayer) checkGate(i int, op machine.Op, want circuit.GateKind) (circu
 		return circuit.Gate{}, false
 	}
 	g := r.circ.Gates[gate]
-	if k := g.Kind(); k != want {
+	k := g.Kind()
+	if k != want {
 		r.report(i, KindOrder, "op executes gate %d as %v, source gate is %v", gate, want, k)
 	}
 	if g.Name != op.Name.String() {
 		r.report(i, KindOrder, "op names gate %d %q, source gate is %q", gate, op.Name, g.Name)
 	}
-	if r.executed[gate] {
-		r.report(i, KindOrder, "gate %d (%s) executed twice", gate, g.Name)
-		return g, true
+	if k != circuit.KindBarrier {
+		// A barrier records no trace op (the mismatch is reported above),
+		// so only physical gates run in program order.
+		r.order.run(r, i, gate, g)
 	}
-	for _, p := range r.graph.Preds(gate) {
-		if !r.satisfied(p) {
-			r.report(i, KindOrder, "gate %d (%s) executed before its predecessor %d (%s)",
-				gate, g.Name, p, r.circ.Gates[p].Name)
-		}
-	}
-	r.executed[gate] = true
 	return g, true
-}
-
-// satisfied reports whether gate p's ordering effect is complete: physical
-// gates must have executed; a barrier (which records no trace op) is
-// satisfied once all of its own predecessors are. Barrier satisfaction is
-// monotone, so it is memoized.
-func (r *replayer) satisfied(p int) bool {
-	if r.circ.Gates[p].Kind() != circuit.KindBarrier {
-		return r.executed[p]
-	}
-	if r.barrierOK[p] {
-		return true
-	}
-	for _, q := range r.graph.Preds(p) {
-		if !r.satisfied(q) {
-			return false
-		}
-	}
-	r.barrierOK[p] = true
-	return true
 }
 
 func (r *replayer) stepSwap(i int, op machine.Op) {
@@ -460,7 +431,7 @@ func (r *replayer) stepSwap(i int, op machine.Op) {
 	if !r.residentAt(i, ion, trap) || !r.residentAt(i, ion2, trap) {
 		return
 	}
-	pa, pb := r.chainIndex(ion), r.chainIndex(ion2)
+	pa, pb := r.pos[ion], r.pos[ion2]
 	if pa-pb != 1 && pb-pa != 1 {
 		r.report(i, KindProtocol, "swap of non-adjacent ions %d (pos %d) and %d (pos %d) in trap %d",
 			ion, pa, ion2, pb, trap)
@@ -468,6 +439,7 @@ func (r *replayer) stepSwap(i int, op machine.Op) {
 	}
 	chain := r.chains[trap]
 	chain[pa], chain[pb] = chain[pb], chain[pa]
+	r.pos[ion], r.pos[ion2] = pb, pa
 }
 
 func (r *replayer) stepSplit(i int, op machine.Op) {
@@ -479,7 +451,7 @@ func (r *replayer) stepSplit(i int, op machine.Op) {
 		return
 	}
 	chain := r.chains[trap]
-	p := r.chainIndex(ion)
+	p := r.pos[ion]
 	switch {
 	case len(chain) == 1:
 		r.splitEnd[ion] = 2
@@ -492,7 +464,9 @@ func (r *replayer) stepSplit(i int, op machine.Op) {
 			ion, p, len(chain), trap)
 		return
 	}
-	r.chains[trap] = append(chain[:p], chain[p+1:]...)
+	chain = append(chain[:p], chain[p+1:]...)
+	r.chains[trap] = chain
+	r.renumber(chain, p)
 	r.phase[ion] = split
 }
 
@@ -559,10 +533,13 @@ func (r *replayer) stepMerge(i int, op machine.Op) {
 	// convention: an ion entering from a lower-numbered trap lands at the
 	// low end, and vice versa).
 	chain := append(r.chains[trap], ion)
+	from := len(chain) - 1
 	if r.moveFrom[ion] < trap {
 		copy(chain[1:], chain)
 		chain[0] = ion
+		from = 0
 	}
+	r.renumber(chain, from)
 	r.chains[trap] = chain
 	r.phase[ion] = resident
 	if len(chain) > r.cfg.Capacity {
@@ -578,7 +555,7 @@ func (r *replayer) finalChecks() {
 		r.truncated = true
 		return
 	}
-	for g, done := range r.executed {
+	for g, done := range r.order.ran {
 		if done || r.circ.Gates[g].Kind() == circuit.KindBarrier {
 			continue
 		}
