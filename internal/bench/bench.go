@@ -264,6 +264,9 @@ func Random(qubits, gates2q int, seed int64) *circuit.Circuit {
 		panic("bench: negative gate count")
 	}
 	c := circuit.New(fmt.Sprintf("Random-%dq-%dg-s%d", qubits, gates2q, seed), qubits)
+	// An rz precedes a 2Q gate on a 1-in-5 draw, so a quarter's headroom
+	// sizes the list once; append grows it in the rare overflow.
+	c.Gates = make([]circuit.Gate, 0, gates2q+gates2q/4+8)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < gates2q; i++ {
 		if rng.Intn(5) == 0 {

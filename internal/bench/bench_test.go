@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"muzzle/internal/circuit"
@@ -195,6 +196,30 @@ func TestRandomGateCountExact(t *testing.T) {
 		if got := c.Count2Q(); got != n {
 			t.Errorf("Random 2Q count = %d, want %d", got, n)
 		}
+	}
+}
+
+// raceEnabled is set under the race detector, whose instrumentation
+// allocates.
+var raceEnabled bool
+
+// TestRandomAllocs pins that Random sizes its gate list once: the
+// suite-mean circuit costs a handful of allocations, the list itself about
+// 125 KB of them.
+func TestRandomAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const maxAllocs, maxBytes = 10, 200_000
+	if n := testing.AllocsPerRun(5, func() { Random(70, 1438, 1) }); n > maxAllocs {
+		t.Errorf("Random(70, 1438, 1) makes %.0f allocations, want at most %d", n, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Random(70, 1438, 1)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > maxBytes {
+		t.Errorf("Random(70, 1438, 1) allocates %d B, want at most %d", b, maxBytes)
 	}
 }
 
