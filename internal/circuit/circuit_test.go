@@ -324,6 +324,32 @@ func TestDecomposeBarrier(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector, whose instrumentation
+// allocates.
+var raceEnabled bool
+
+// TestDecomposeAllocs pins that expanding swap and ccx allocates per
+// block of arena storage, not per gate.
+func TestDecomposeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const maxAllocs = 12
+	for name, qubits := range map[string][]int{"swap": {0, 1}, "ccx": {0, 1, 2}} {
+		c := New(name, 3)
+		for range 100 {
+			c.MustAppend(Gate{Name: name, Qubits: qubits})
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := Decompose(c); err != nil {
+				t.Fatal(err)
+			}
+		}); n > maxAllocs {
+			t.Errorf("Decompose of 100 %s gates makes %.0f allocations, want at most %d", name, n, maxAllocs)
+		}
+	}
+}
+
 // randomCircuit builds a random MS-only circuit for property tests.
 func randomCircuit(rng *rand.Rand, n, gates int) *Circuit {
 	c := New("rand", n)

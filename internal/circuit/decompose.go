@@ -80,9 +80,8 @@ func decomposeGate(out *Circuit, g Gate) error {
 		out.Add1Q("rz", q[0], math.Pi/4)
 	case "tdg":
 		out.Add1Q("rz", q[0], -math.Pi/4)
-	case "h": // H = RZ(pi) . R(pi/2, pi/2)  (up to global phase)
-		out.Add1Q("r", q[0], math.Pi/2, math.Pi/2)
-		out.Add1Q("rz", q[0], math.Pi)
+	case "h":
+		h(out, q[0])
 	case "rx":
 		out.Add1Q("r", q[0], param(0), 0)
 	case "ry":
@@ -91,75 +90,65 @@ func decomposeGate(out *Circuit, g Gate) error {
 		out.Add1Q("rz", q[0], param(2))
 		out.Add1Q("r", q[0], param(0), math.Pi/2)
 		out.Add1Q("rz", q[0], param(1))
-	case "cx": // 1 MS + 4 single-qubit corrections (Maslov 2017 Eq. 6)
-		out.Add1Q("r", q[0], math.Pi/2, math.Pi/2) // Ry(pi/2) on control
-		out.Add2Q("ms", q[0], q[1], math.Pi/4)
-		out.Add1Q("r", q[0], -math.Pi/2, 0) // Rx(-pi/2)
-		out.Add1Q("r", q[1], -math.Pi/2, 0)
-		out.Add1Q("r", q[0], -math.Pi/2, math.Pi/2) // Ry(-pi/2)
+	case "cx":
+		cx(out, q[0], q[1])
 	case "cz": // CZ = (I ⊗ H) CX (I ⊗ H)
-		if err := decomposeGate(out, Gate{Name: "h", Qubits: q[1:2]}); err != nil {
-			return err
-		}
-		if err := decomposeGate(out, Gate{Name: "cx", Qubits: q}); err != nil {
-			return err
-		}
-		return decomposeGate(out, Gate{Name: "h", Qubits: q[1:2]})
+		h(out, q[1])
+		cx(out, q[0], q[1])
+		h(out, q[1])
 	case "cp", "cu1": // controlled-phase: 2 CX + 3 RZ
 		th := param(0)
 		out.Add1Q("rz", q[0], th/2)
-		if err := decomposeGate(out, Gate{Name: "cx", Qubits: q}); err != nil {
-			return err
-		}
+		cx(out, q[0], q[1])
 		out.Add1Q("rz", q[1], -th/2)
-		if err := decomposeGate(out, Gate{Name: "cx", Qubits: q}); err != nil {
-			return err
-		}
+		cx(out, q[0], q[1])
 		out.Add1Q("rz", q[1], th/2)
 	case "rzz": // exp(-i th/2 ZZ): 2 CX + 1 RZ
-		if err := decomposeGate(out, Gate{Name: "cx", Qubits: q}); err != nil {
-			return err
-		}
+		cx(out, q[0], q[1])
 		out.Add1Q("rz", q[1], param(0))
-		return decomposeGate(out, Gate{Name: "cx", Qubits: q})
+		cx(out, q[0], q[1])
 	case "swap": // 3 CX
-		for i := 0; i < 3; i++ {
-			a, b := q[0], q[1]
-			if i == 1 {
-				a, b = b, a
-			}
-			if err := decomposeGate(out, Gate{Name: "cx", Qubits: []int{a, b}}); err != nil {
-				return err
-			}
-		}
+		a, b := q[0], q[1]
+		cx(out, a, b)
+		cx(out, b, a)
+		cx(out, a, b)
 	case "ccx": // Toffoli: standard 6-CX network (Nielsen & Chuang Fig. 4.9)
 		a, b, t := q[0], q[1], q[2]
-		steps := []Gate{
-			{Name: "h", Qubits: []int{t}},
-			{Name: "cx", Qubits: []int{b, t}},
-			{Name: "tdg", Qubits: []int{t}},
-			{Name: "cx", Qubits: []int{a, t}},
-			{Name: "t", Qubits: []int{t}},
-			{Name: "cx", Qubits: []int{b, t}},
-			{Name: "tdg", Qubits: []int{t}},
-			{Name: "cx", Qubits: []int{a, t}},
-			{Name: "t", Qubits: []int{b}},
-			{Name: "t", Qubits: []int{t}},
-			{Name: "h", Qubits: []int{t}},
-			{Name: "cx", Qubits: []int{a, b}},
-			{Name: "t", Qubits: []int{a}},
-			{Name: "tdg", Qubits: []int{b}},
-			{Name: "cx", Qubits: []int{a, b}},
-		}
-		for _, s := range steps {
-			if err := decomposeGate(out, s); err != nil {
-				return err
-			}
-		}
+		h(out, t)
+		cx(out, b, t)
+		out.Add1Q("rz", t, -math.Pi/4) // tdg
+		cx(out, a, t)
+		out.Add1Q("rz", t, math.Pi/4) // t
+		cx(out, b, t)
+		out.Add1Q("rz", t, -math.Pi/4) // tdg
+		cx(out, a, t)
+		out.Add1Q("rz", b, math.Pi/4) // t
+		out.Add1Q("rz", t, math.Pi/4) // t
+		h(out, t)
+		cx(out, a, b)
+		out.Add1Q("rz", a, math.Pi/4)  // t
+		out.Add1Q("rz", b, -math.Pi/4) // tdg
+		cx(out, a, b)
 	default:
 		return fmt.Errorf("no native decomposition for gate %q", g.Name)
 	}
 	return nil
+}
+
+// h appends H = RZ(pi) . R(pi/2, pi/2) (up to global phase) on q.
+func h(out *Circuit, q int) {
+	out.Add1Q("r", q, math.Pi/2, math.Pi/2)
+	out.Add1Q("rz", q, math.Pi)
+}
+
+// cx appends CX from control a to target b: 1 MS + 4 single-qubit
+// corrections (Maslov 2017 Eq. 6).
+func cx(out *Circuit, a, b int) {
+	out.Add1Q("r", a, math.Pi/2, math.Pi/2) // Ry(pi/2) on control
+	out.Add2Q("ms", a, b, math.Pi/4)
+	out.Add1Q("r", a, -math.Pi/2, 0) // Rx(-pi/2)
+	out.Add1Q("r", b, -math.Pi/2, 0)
+	out.Add1Q("r", a, -math.Pi/2, math.Pi/2) // Ry(-pi/2)
 }
 
 // nativeCost returns the exact number of native gates the named gate
