@@ -13,14 +13,17 @@ import (
 // FuzzRequestBodies posts arbitrary bytes to the three JSON endpoints of a
 // drained manager. Decoding and validation (QASM parse, grid expansion,
 // cell index) still run, but the drain admits nothing, so no input starts
-// a compile. Every answer must be a structured 400, 413 or 503, and no
-// input may panic a handler. Seeded with the README's request bodies:
+// a compile. Every answer must be a structured 400, 413 or 503, a body
+// that is not one JSON value (json.Valid) never reaches the drain's 503,
+// and no input may panic a handler. Seeded with the README's request
+// bodies:
 //
 //	go test -run=^$ -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/service
 func FuzzRequestBodies(f *testing.F) {
 	for _, seed := range []string{
 		`{"qasm": "OPENQASM 2.0;\nqreg q[6];\ncx q[0],q[5];\n", "compilers": ["baseline", "optimized"]}`,
 		`{"random": {"limit": 10, "seed": 7}}`,
+		`{"random": {"limit": 10, "seed": 7}} trailing garbage`,
 		`{
   "topologies": [
     {"family": "line", "traps": 6},
@@ -54,7 +57,11 @@ func FuzzRequestBodies(f *testing.F) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			switch rec.Code {
-			case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			case http.StatusServiceUnavailable:
+				if !json.Valid(body) {
+					t.Fatalf("POST %s = 503 for a body that is not one JSON value, want 400 or 413: %s", path, rec.Body)
+				}
 			default:
 				t.Fatalf("POST %s = %d, want 400, 413 or 503: %s", path, rec.Code, rec.Body)
 			}

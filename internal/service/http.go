@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -95,19 +96,26 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 const maxRequestBody = 4 << 20
 
 // decodeBody decodes a POST body as one JSON value into v, rejecting
-// unknown fields and bodies past maxRequestBody. On failure it has
-// answered 413 too_large or 400 bad_json, and returns false.
+// unknown fields, anything but whitespace after the value, and bodies past
+// maxRequestBody. On failure it has answered 413 too_large or 400
+// bad_json, and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
+	if err == nil {
+		// Only whitespace may follow the value.
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return true
+		}
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
 	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooBig):
+	if errors.As(err, &tooBig) {
 		writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
-	default:
+	} else {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
 	}
 	return false

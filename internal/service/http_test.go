@@ -257,6 +257,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"qasm over the parameter limit", `{"qasm": "OPENQASM 2.0; qreg q[65536]; foo(` + strings.Repeat("0,", 64) + `0) q;"}`, "bad_qasm"},
 		{"bad json", `{"qasm": 12`, "bad_json"},
 		{"unknown field", `{"qsam": "typo"}`, "bad_json"},
+		{"trailing garbage", `{"random": {"limit": 1, "seed": 7}} trailing garbage`, "bad_json"},
+		{"second value", `{"random": {"limit": 1, "seed": 7}}{"qasm": "not qasm"}`, "bad_json"},
 		{"negative limit", `{"random": {"limit": -1}}`, "bad_request"},
 	}
 	for _, tc := range cases {
@@ -289,6 +291,20 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("unknown job status = %d, want 404", resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitTrailingWhitespace: only whitespace may follow a body's JSON
+// value, and it is accepted.
+func TestSubmitTrailingWhitespace(t *testing.T) {
+	_, srv := newTestServer(t, service.Config{Workers: 1})
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"random": {"limit": 1, "seed": 7}}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202", resp.StatusCode)
 	}
 }
 
