@@ -120,12 +120,18 @@ func (o *programOrder) run(r *replayer, i, idx int, g circuit.Gate) {
 	o.ran[idx] = true
 	for _, q := range g.Qubits {
 		qc := &o.qubits[q]
+		early := -1 // first barrier on q the gate crosses too early
 		for qc.stop >= 0 && o.stops[qc.stop].gate < idx {
 			if b := o.stops[qc.stop].gate; !o.cross(b) {
-				r.report(i, KindOrder, "gate %d (%s) crosses barrier %d before every qubit it spans has reached it",
-					idx, g.Name, b)
+				if early < 0 {
+					early = b
+				}
 				qc.stop = o.stops[qc.stop].next
 			}
+		}
+		if early >= 0 {
+			r.report(i, KindOrder, "gate %d (%s) crosses barrier %d on q[%d] before every qubit it spans has reached it",
+				idx, g.Name, early, q)
 		}
 		if idx < qc.last {
 			r.report(i, KindOrder, "gate %d (%s) executed after gate %d (%s), which follows it on q[%d]",

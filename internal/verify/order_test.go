@@ -166,6 +166,8 @@ func FuzzOrderOracle(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 6, 0x3f, 9, 1}, []byte{0, 0, 0, 0, 0})
 	f.Add(uint8(2), []byte{0, 0x47, 5, 0x0b, 4}, []byte{3, 1, 2, 0})
 	f.Add(uint8(4), []byte{0x33, 2, 0x67, 0xff, 7, 0x1b, 3}, []byte{5, 4, 3, 2, 1, 0})
+	// Eight barriers crossed early by three of the trace's four gates.
+	f.Add(uint8('C'), []byte("0\xff\x7f\xff\xff\x7f\xff\xff7,Z0"), []byte("07"))
 	f.Fuzz(func(t *testing.T, qubits uint8, prog, shuffle []byte) {
 		c := oracleCircuit(qubits, prog)
 		n := len(c.Gates)
@@ -211,7 +213,7 @@ func FuzzOrderOracle(f *testing.F) {
 		}
 		vs := Replay(c, cfg, placement, ops)
 		for _, v := range vs {
-			if v.Kind != KindOrder {
+			if v.Kind != KindOrder && !strings.HasPrefix(v.Detail, "report truncated") {
 				t.Fatalf("%v: trace %v drew %v", c.Gates, trace, v)
 			}
 		}
