@@ -82,7 +82,8 @@ func newProgramOrder(c *circuit.Circuit) programOrder {
 	for q := range o.qubits {
 		o.qubits[q] = qubitCursor{last: -1, stop: -1}
 	}
-	for i, g := range c.Gates {
+	for i := range c.Gates {
+		g := &c.Gates[i]
 		if g.Kind() != circuit.KindBarrier {
 			for _, q := range g.Qubits {
 				o.qubits[q].count++
@@ -112,7 +113,7 @@ func newProgramOrder(c *circuit.Circuit) programOrder {
 
 // run records physical gate idx at op i, reporting each way it breaks
 // program order through r.
-func (o *programOrder) run(r *replayer, i, idx int, g circuit.Gate) {
+func (o *programOrder) run(r *replayer, i, idx int, g *circuit.Gate) {
 	if o.ran[idx] {
 		r.report(i, KindOrder, "gate %d (%s) executed twice", idx, g.Name)
 		return

@@ -15,20 +15,22 @@
 //     initial placement respects the communication-capacity reservation;
 //  3. every 1Q gate and measurement executes with its ion present in the
 //     recorded trap, and every 2Q gate with both operands co-located there;
-//  4. the executed gate sequence is a valid linearization of the source
-//     circuit's dependency DAG, each physical gate executes exactly once,
-//     and each trace op matches its source gate (name and operands — which
-//     pins measurement Cbit wiring, since the op's Gate index addresses the
-//     source gate carrying the classical target);
+//  4. the executed gate sequence respects the source circuit's program
+//     order, each physical gate executes exactly once, and each trace op
+//     matches its source gate (name and operands — which pins measurement
+//     Cbit wiring, since the op's Gate index addresses the source gate
+//     carrying the classical target);
 //  5. ions are conserved: none duplicated, lost, or left in transit.
 //
-// The verifier builds no dependency graph. The graph joins consecutive
-// gates on a shared qubit, barriers included, so an order of the gates is a
-// linearization exactly when, on every qubit, the gates touching it appear
-// in increasing index order; a barrier, which the trace does not record,
-// is crossed once every qubit it spans has reached it. Both order checks
-// keep per-qubit cursors (order.go), and each ion's chain position is kept
-// beside its chain, so no op scans a chain.
+// The verifier builds no dependency graph and reads none of the
+// compiler's (internal/dag), so a bug there cannot pass both. Program
+// order is the relation that graph encodes: it joins consecutive gates on a
+// shared qubit, barriers included, so an order of the gates is valid
+// exactly when, on every qubit, the gates touching it appear in increasing
+// index order. A barrier, which the trace does not record, is crossed once
+// every qubit it spans has reached it. Both order checks keep per-qubit
+// cursors (order.go), and each ion's chain position is kept beside its
+// chain, so no op scans a chain.
 //
 // Violations carry the op index, a stable Kind, and a human-readable
 // detail; an empty slice means the schedule is provably legal under the
@@ -152,25 +154,28 @@ const (
 type replayer struct {
 	circ *circuit.Circuit
 	cfg  machine.Config
-	ops  []machine.Op
 
-	nIons  int
-	trapOf []int   // ion -> trap (the chain it belongs to, or its protocol anchor while in transit)
+	ions   []ionState
 	chains [][]int // trap -> ordered chain
-	pos    []int   // ion -> index in its chain, while resident
-	phase  []transit
-	// splitEnd records which chain end the ion was detached from: 0 = low
-	// end, 1 = high end, 2 = either (singleton chain). Valid while phase ==
-	// split.
-	splitEnd []int
-	// moveFrom records the MOVE's source trap while phase == moved (the
-	// MERGE must insert at the end facing it).
-	moveFrom []int
 
 	order programOrder
 
 	violations []Violation
 	truncated  bool
+}
+
+// ionState is one ion's replay state.
+type ionState struct {
+	trap  int // the chain the ion belongs to, or its protocol anchor while in transit
+	pos   int // index in its chain, while resident
+	phase transit
+	// splitEnd records which chain end the ion was detached from: 0 = low
+	// end, 1 = high end, 2 = either (singleton chain). Valid while phase ==
+	// split.
+	splitEnd int
+	// moveFrom records the MOVE's source trap while phase == moved (the
+	// MERGE must insert at the end facing it).
+	moveFrom int
 }
 
 // report appends a violation, respecting the cap.
@@ -188,7 +193,7 @@ func (r *replayer) report(op int, kind Kind, format string, args ...any) {
 // violation found (nil means the schedule is legal). The input is not
 // modified.
 func Replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []machine.Op) []Violation {
-	r := newReplayer(circ, cfg, initial, ops)
+	r := newReplayer(circ, cfg, initial)
 	if r == nil || len(r.violations) > 0 {
 		// A broken machine config or placement invalidates all downstream
 		// state tracking; report what we have rather than cascade.
@@ -197,11 +202,11 @@ func Replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []ma
 		}
 		return []Violation{{Op: -1, Kind: KindPlacement, Detail: "nil circuit, topology, or machine config"}}
 	}
-	for i := range r.ops {
+	for i := range ops {
 		if len(r.violations) >= maxViolations {
 			break
 		}
-		r.step(i, r.ops[i])
+		r.step(i, &ops[i])
 	}
 	r.finalChecks()
 	if r.truncated {
@@ -212,13 +217,13 @@ func Replay(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []ma
 }
 
 // newReplayer validates the configuration and initial placement and builds
-// the tracking state for replaying ops. A nil return means the inputs were
-// too malformed to replay at all.
-func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops []machine.Op) *replayer {
+// the tracking state. A nil return means the inputs were too malformed to
+// replay at all.
+func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int) *replayer {
 	if circ == nil || cfg.Topology == nil {
 		return nil
 	}
-	r := &replayer{circ: circ, cfg: cfg, ops: ops}
+	r := &replayer{circ: circ, cfg: cfg}
 	if err := cfg.Validate(); err != nil {
 		r.report(-1, KindPlacement, "invalid machine config: %v", err)
 		return r
@@ -232,15 +237,10 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops
 	for _, chain := range initial {
 		total += len(chain)
 	}
-	r.nIons = total
-	r.trapOf = make([]int, total)
-	r.pos = make([]int, total)
-	r.phase = make([]transit, total)
-	r.splitEnd = make([]int, total)
-	r.moveFrom = make([]int, total)
+	r.ions = make([]ionState, total)
 	r.chains = make([][]int, len(initial))
-	for i := range r.trapOf {
-		r.trapOf[i] = -1
+	for i := range r.ions {
+		r.ions[i].trap = -1
 	}
 	// Every chain gets room for a full trap up front, carved from one
 	// backing array, so merges and splits shift in place. A trap never
@@ -261,12 +261,11 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops
 				r.report(-1, KindPlacement, "ion id %d outside dense range [0,%d)", ion, total)
 				return r
 			}
-			if r.trapOf[ion] != -1 {
-				r.report(-1, KindPlacement, "ion %d placed in trap %d and trap %d", ion, r.trapOf[ion], t)
+			if r.ions[ion].trap != -1 {
+				r.report(-1, KindPlacement, "ion %d placed in trap %d and trap %d", ion, r.ions[ion].trap, t)
 				return r
 			}
-			r.trapOf[ion] = t
-			r.pos[ion] = p
+			r.ions[ion] = ionState{trap: t, pos: p}
 		}
 	}
 	if total < circ.NumQubits {
@@ -278,52 +277,70 @@ func newReplayer(circ *circuit.Circuit, cfg machine.Config, initial [][]int, ops
 }
 
 // ionOK guards an op's ion id; out-of-range ids make the op unreplayable.
+// The guards below run on every op, so each keeps its report, with its
+// formatting, in a separate function that only a failed check calls.
 func (r *replayer) ionOK(i int, ion int, role string) bool {
-	if ion < 0 || ion >= r.nIons {
-		r.report(i, KindPresence, "%s ion %d outside [0,%d)", role, ion, r.nIons)
-		return false
-	}
-	return true
+	return uint(ion) < uint(len(r.ions)) || r.badIon(i, ion, role)
 }
 
 // trapOK guards an op's trap id.
 func (r *replayer) trapOK(i int, trap int, role string) bool {
-	if trap < 0 || trap >= len(r.chains) {
-		r.report(i, KindPresence, "%s trap %d outside [0,%d)", role, trap, len(r.chains))
-		return false
-	}
-	return true
+	return uint(trap) < uint(len(r.chains)) || r.badTrap(i, trap, role)
+}
+
+// badIon reports an out-of-range ion id and returns false.
+func (r *replayer) badIon(i, ion int, role string) bool {
+	r.report(i, KindPresence, "%s ion %d outside [0,%d)", role, ion, len(r.ions))
+	return false
+}
+
+// badTrap reports an out-of-range trap id and returns false.
+func (r *replayer) badTrap(i, trap int, role string) bool {
+	r.report(i, KindPresence, "%s trap %d outside [0,%d)", role, trap, len(r.chains))
+	return false
 }
 
 // residentAt checks the ion is resident in the claimed trap; a failed check
 // reports and returns false (the op's mutation is skipped to avoid
-// cascading corruption).
+// cascading corruption). A resident ion's trap is a valid trap, so the
+// check also guards the op's ion and trap ids.
 func (r *replayer) residentAt(i int, ion, trap int) bool {
-	switch r.phase[ion] {
+	if uint(ion) < uint(len(r.ions)) {
+		if s := &r.ions[ion]; s.phase == resident && s.trap == trap {
+			return true
+		}
+	}
+	return r.notResident(i, ion, trap)
+}
+
+// notResident reports why ion is not resident in trap, and returns false.
+func (r *replayer) notResident(i int, ion, trap int) bool {
+	if uint(ion) >= uint(len(r.ions)) {
+		r.report(i, KindPresence, "ion %d outside [0,%d)", ion, len(r.ions))
+		return false
+	}
+	switch s := &r.ions[ion]; s.phase {
 	case split:
 		r.report(i, KindPresence, "ion %d is split (awaiting MOVE), not resident", ion)
-		return false
 	case moved:
 		r.report(i, KindPresence, "ion %d is in transit (awaiting MERGE), not resident", ion)
-		return false
+	default:
+		r.report(i, KindPresence, "ion %d is in trap %d, op claims trap %d", ion, s.trap, trap)
 	}
-	if r.trapOf[ion] != trap {
-		r.report(i, KindPresence, "ion %d is in trap %d, op claims trap %d", ion, r.trapOf[ion], trap)
-		return false
-	}
-	return true
+	return false
 }
 
 // renumber re-derives the positions of chain's ions from index from on,
 // after a split or merge shifted them.
 func (r *replayer) renumber(chain []int, from int) {
 	for p := from; p < len(chain); p++ {
-		r.pos[chain[p]] = p
+		r.ions[chain[p]].pos = p
 	}
 }
 
-// step replays one op, reporting every invariant it breaks.
-func (r *replayer) step(i int, op machine.Op) {
+// step replays one op, reporting every invariant it breaks. Ops pass by
+// address: the replay is the verifier's hot loop.
+func (r *replayer) step(i int, op *machine.Op) {
 	switch op.Kind {
 	case machine.OpGate1Q, machine.OpMeasure:
 		r.stepGate1Q(i, op)
@@ -342,7 +359,7 @@ func (r *replayer) step(i int, op machine.Op) {
 	}
 }
 
-func (r *replayer) stepGate1Q(i int, op machine.Op) {
+func (r *replayer) stepGate1Q(i int, op *machine.Op) {
 	ion, trap, gate := int(op.Ion), int(op.Trap), int(op.Gate)
 	if !r.ionOK(i, ion, "gate") || !r.trapOK(i, trap, "gate") {
 		return
@@ -352,8 +369,8 @@ func (r *replayer) stepGate1Q(i int, op machine.Op) {
 	if op.Kind == machine.OpMeasure {
 		want = circuit.KindMeasure
 	}
-	g, ok := r.checkGate(i, op, want)
-	if !ok {
+	g := r.checkGate(i, op, want)
+	if g == nil {
 		return
 	}
 	if len(g.Qubits) != 1 {
@@ -367,20 +384,20 @@ func (r *replayer) stepGate1Q(i int, op machine.Op) {
 	}
 }
 
-func (r *replayer) stepGate2Q(i int, op machine.Op) {
+func (r *replayer) stepGate2Q(i int, op *machine.Op) {
 	ion, ion2, trap, gate := int(op.Ion), int(op.Ion2), int(op.Trap), int(op.Gate)
 	if !r.ionOK(i, ion, "gate") || !r.ionOK(i, ion2, "gate") || !r.trapOK(i, trap, "gate") {
 		return
 	}
 	r.residentAt(i, ion, trap)
-	if r.phase[ion2] != resident {
+	if r.ions[ion2].phase != resident {
 		r.report(i, KindPresence, "ion %d is in transit during 2Q gate", ion2)
-	} else if r.trapOf[ion2] != trap {
+	} else if r.ions[ion2].trap != trap {
 		r.report(i, KindCoLocation, "2Q gate on ions %d (T%d) and %d (T%d): not co-located",
-			ion, r.trapOf[ion], ion2, r.trapOf[ion2])
+			ion, r.ions[ion].trap, ion2, r.ions[ion2].trap)
 	}
-	g, ok := r.checkGate(i, op, circuit.Kind2Q)
-	if !ok {
+	g := r.checkGate(i, op, circuit.Kind2Q)
+	if g == nil {
 		return
 	}
 	if len(g.Qubits) != 2 {
@@ -400,14 +417,14 @@ func (r *replayer) stepGate2Q(i int, op machine.Op) {
 
 // checkGate validates the op's source-gate reference (index, kind, name)
 // and runs the gate in program order. It returns the source gate when the
-// reference itself is usable.
-func (r *replayer) checkGate(i int, op machine.Op, want circuit.GateKind) (circuit.Gate, bool) {
+// reference itself is usable, nil otherwise.
+func (r *replayer) checkGate(i int, op *machine.Op, want circuit.GateKind) *circuit.Gate {
 	gate := int(op.Gate)
 	if gate < 0 || gate >= len(r.circ.Gates) {
 		r.report(i, KindOrder, "op references gate %d outside circuit of %d gates", gate, len(r.circ.Gates))
-		return circuit.Gate{}, false
+		return nil
 	}
-	g := r.circ.Gates[gate]
+	g := &r.circ.Gates[gate]
 	k := g.Kind()
 	if k != want {
 		r.report(i, KindOrder, "op executes gate %d as %v, source gate is %v", gate, want, k)
@@ -420,18 +437,16 @@ func (r *replayer) checkGate(i int, op machine.Op, want circuit.GateKind) (circu
 		// so only physical gates run in program order.
 		r.order.run(r, i, gate, g)
 	}
-	return g, true
+	return g
 }
 
-func (r *replayer) stepSwap(i int, op machine.Op) {
+func (r *replayer) stepSwap(i int, op *machine.Op) {
 	ion, ion2, trap := int(op.Ion), int(op.Ion2), int(op.Trap)
-	if !r.ionOK(i, ion, "swap") || !r.ionOK(i, ion2, "swap") || !r.trapOK(i, trap, "swap") {
-		return
-	}
 	if !r.residentAt(i, ion, trap) || !r.residentAt(i, ion2, trap) {
 		return
 	}
-	pa, pb := r.pos[ion], r.pos[ion2]
+	a, b := &r.ions[ion], &r.ions[ion2]
+	pa, pb := a.pos, b.pos
 	if pa-pb != 1 && pb-pa != 1 {
 		r.report(i, KindProtocol, "swap of non-adjacent ions %d (pos %d) and %d (pos %d) in trap %d",
 			ion, pa, ion2, pb, trap)
@@ -439,26 +454,24 @@ func (r *replayer) stepSwap(i int, op machine.Op) {
 	}
 	chain := r.chains[trap]
 	chain[pa], chain[pb] = chain[pb], chain[pa]
-	r.pos[ion], r.pos[ion2] = pb, pa
+	a.pos, b.pos = pb, pa
 }
 
-func (r *replayer) stepSplit(i int, op machine.Op) {
+func (r *replayer) stepSplit(i int, op *machine.Op) {
 	ion, trap := int(op.Ion), int(op.Trap)
-	if !r.ionOK(i, ion, "split") || !r.trapOK(i, trap, "split") {
-		return
-	}
 	if !r.residentAt(i, ion, trap) {
 		return
 	}
+	s := &r.ions[ion]
 	chain := r.chains[trap]
-	p := r.pos[ion]
+	p := s.pos
 	switch {
 	case len(chain) == 1:
-		r.splitEnd[ion] = 2
+		s.splitEnd = 2
 	case p == 0:
-		r.splitEnd[ion] = 0
+		s.splitEnd = 0
 	case p == len(chain)-1:
-		r.splitEnd[ion] = 1
+		s.splitEnd = 1
 	default:
 		r.report(i, KindProtocol, "split of mid-chain ion %d (pos %d of %d) in trap %d",
 			ion, p, len(chain), trap)
@@ -467,21 +480,22 @@ func (r *replayer) stepSplit(i int, op machine.Op) {
 	chain = append(chain[:p], chain[p+1:]...)
 	r.chains[trap] = chain
 	r.renumber(chain, p)
-	r.phase[ion] = split
+	s.phase = split
 }
 
-func (r *replayer) stepMove(i int, op machine.Op) {
+func (r *replayer) stepMove(i int, op *machine.Op) {
 	ion, trap, trap2 := int(op.Ion), int(op.Trap), int(op.Trap2)
 	if !r.ionOK(i, ion, "move") || !r.trapOK(i, trap, "move source") || !r.trapOK(i, trap2, "move destination") {
 		return
 	}
-	if r.phase[ion] != split {
+	s := &r.ions[ion]
+	if s.phase != split {
 		r.report(i, KindProtocol, "move of ion %d without a preceding split", ion)
 		return
 	}
-	if r.trapOf[ion] != trap {
+	if s.trap != trap {
 		r.report(i, KindPresence, "move claims source trap %d, ion %d was split from trap %d",
-			trap, ion, r.trapOf[ion])
+			trap, ion, s.trap)
 		return
 	}
 	adjacent := false
@@ -502,7 +516,7 @@ func (r *replayer) stepMove(i int, op machine.Op) {
 	if trap2 > trap {
 		wantEnd = 1
 	}
-	if e := r.splitEnd[ion]; e != 2 && e != wantEnd {
+	if e := s.splitEnd; e != 2 && e != wantEnd {
 		r.report(i, KindProtocol, "ion %d split from the chain end facing away from destination trap %d",
 			ion, trap2)
 	}
@@ -510,23 +524,24 @@ func (r *replayer) stepMove(i int, op machine.Op) {
 		r.report(i, KindCapacity, "move of ion %d into trap %d which is full (%d/%d ions, no communication slot free)",
 			ion, trap2, len(r.chains[trap2]), r.cfg.Capacity)
 	}
-	r.phase[ion] = moved
-	r.moveFrom[ion] = trap
-	r.trapOf[ion] = trap2
+	s.phase = moved
+	s.moveFrom = trap
+	s.trap = trap2
 }
 
-func (r *replayer) stepMerge(i int, op machine.Op) {
+func (r *replayer) stepMerge(i int, op *machine.Op) {
 	ion, trap := int(op.Ion), int(op.Trap)
 	if !r.ionOK(i, ion, "merge") || !r.trapOK(i, trap, "merge") {
 		return
 	}
-	if r.phase[ion] != moved {
+	s := &r.ions[ion]
+	if s.phase != moved {
 		r.report(i, KindProtocol, "merge of ion %d without a preceding move", ion)
 		return
 	}
-	if r.trapOf[ion] != trap {
+	if s.trap != trap {
 		r.report(i, KindPresence, "merge claims trap %d, ion %d moved to trap %d",
-			trap, ion, r.trapOf[ion])
+			trap, ion, s.trap)
 		return
 	}
 	// Insert at the end facing the source trap (the machine model's merge
@@ -534,14 +549,14 @@ func (r *replayer) stepMerge(i int, op machine.Op) {
 	// low end, and vice versa).
 	chain := append(r.chains[trap], ion)
 	from := len(chain) - 1
-	if r.moveFrom[ion] < trap {
+	if s.moveFrom < trap {
 		copy(chain[1:], chain)
 		chain[0] = ion
 		from = 0
 	}
 	r.renumber(chain, from)
 	r.chains[trap] = chain
-	r.phase[ion] = resident
+	s.phase = resident
 	if len(chain) > r.cfg.Capacity {
 		r.report(i, KindCapacity, "trap %d holds %d ions after merge, capacity %d",
 			trap, len(chain), r.cfg.Capacity)
@@ -561,8 +576,8 @@ func (r *replayer) finalChecks() {
 		}
 		r.report(-1, KindOrder, "gate %d (%s) never executed", g, r.circ.Gates[g].Name)
 	}
-	for ion := 0; ion < r.nIons; ion++ {
-		switch r.phase[ion] {
+	for ion := 0; ion < len(r.ions); ion++ {
+		switch r.ions[ion].phase {
 		case split:
 			r.report(-1, KindConservation, "ion %d left split (never moved) at end of stream", ion)
 		case moved:
@@ -572,7 +587,7 @@ func (r *replayer) finalChecks() {
 	// Conservation: every ion in exactly one chain. Per-op tracking keeps
 	// this by construction unless an op corrupted state; re-derive to be
 	// safe against the repair paths.
-	seen := make([]int, r.nIons)
+	seen := make([]int, len(r.ions))
 	total := 0
 	for t, chain := range r.chains {
 		total += len(chain)
@@ -581,7 +596,7 @@ func (r *replayer) finalChecks() {
 				t, len(chain), r.cfg.Capacity)
 		}
 		for _, ion := range chain {
-			if ion >= 0 && ion < r.nIons {
+			if ion >= 0 && ion < len(r.ions) {
 				seen[ion]++
 			}
 		}
@@ -590,11 +605,11 @@ func (r *replayer) finalChecks() {
 		switch {
 		case n > 1:
 			r.report(-1, KindConservation, "ion %d appears in %d chains", ion, n)
-		case n == 0 && r.phase[ion] == resident:
+		case n == 0 && r.ions[ion].phase == resident:
 			r.report(-1, KindConservation, "ion %d lost (in no chain)", ion)
 		}
 	}
-	if total > r.nIons {
-		r.report(-1, KindConservation, "chains hold %d ions, stream started with %d", total, r.nIons)
+	if total > len(r.ions) {
+		r.report(-1, KindConservation, "chains hold %d ions, stream started with %d", total, len(r.ions))
 	}
 }

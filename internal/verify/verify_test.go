@@ -97,16 +97,16 @@ func TestReplayCleanHandBuilt(t *testing.T) {
 // T0 -> T1 (low-side merge) and back, so every run replays the same ops.
 func TestReplayMergeInPlace(t *testing.T) {
 	c := nativeCirc()
-	r := newReplayer(c, l3(3, 1), [][]int{{0}, {1, 2}, {}}, nil)
+	r := newReplayer(c, l3(3, 1), [][]int{{0}, {1, 2}, {}})
 	ops := append(hop(0, 0, 1), hop(0, 1, 0)...)
 	front := -1
 	allocs := testing.AllocsPerRun(50, func() {
 		for i, op := range ops[:3] {
-			r.step(i, op)
+			r.step(i, &op)
 		}
 		front = r.chains[1][0]
 		for i, op := range ops[3:] {
-			r.step(3+i, op)
+			r.step(3+i, &op)
 		}
 	})
 	wantClean(t, r.violations)
